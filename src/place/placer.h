@@ -15,10 +15,17 @@
 //     keeps every macro x-aligned with a legal column, as cascades require.
 // The loop runs until the Fig. 6 overflow gate is met
 // (Overflow < 0.25 for DSP/BRAM/URAM, < 0.15 for LUT/FF).
+//
+// The wirelength force is a gather: per-net star centroids first, then one
+// pass over the objects that sums each object's pulls, density force and
+// region tension and moves it. DESIGN.md, "Global placer", states the
+// ordering rules that keep the placement bit-identical to the scatter form.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "place/problem.h"
@@ -82,9 +89,18 @@ class GlobalPlacer {
   bool budget_exhausted() const { return budget_exhausted_; }
 
  private:
+  /// Star-model pull of one net: pins move toward (cx, cy) with weight w.
+  struct NetStar {
+    double cx, cy, w;
+  };
+
   void compute_density_maps() const;
   void solve_potentials();
   void clamp_object(std::int64_t oi);
+  /// Sums object oi's forces (wirelength gather over its pins, density,
+  /// region tension) and moves it by the clamped step plus two normal()
+  /// draws of noise scaled by noise_sigma.
+  void step_object(std::int64_t oi, double noise_sigma);
   /// Lookahead spreading: bin eviction for LUT/FF, column-domain
   /// redistribution (and x-snap) for macro resources.
   void spread_cells();
@@ -106,9 +122,41 @@ class GlobalPlacer {
   // change — hence mutable.
   mutable std::array<std::vector<double>, fpga::kNumResources> usage_;
   std::array<std::vector<double>, fpga::kNumResources> capacity_;
-  // Poisson potential per resource (warm-started across iterations).
+  // Poisson potential per resource (warm-started across iterations), the
+  // Jacobi sweep's second buffer and its fixed right-hand side.
   std::array<std::vector<double>, fpga::kNumResources> potential_;
+  std::array<std::vector<double>, fpga::kNumResources> potential_next_;
+  std::array<std::vector<double>, fpga::kNumResources> charge_;
   double bw_ = 1.0, bh_ = 1.0;  // bin extents in sites
+
+  // Object -> pin CSR over problem_->net_pins, built once: object oi's pins
+  // are [pin_start_[oi], pin_start_[oi + 1]) of pin_net_ / pin_dy_, in
+  // ascending net id and pin order within a net.
+  std::vector<std::int64_t> pin_start_;
+  std::vector<std::int32_t> pin_net_;
+  std::vector<double> pin_dy_;
+  // Per-iteration scratch: each net's star.
+  std::vector<NetStar> stars_;
+  // spread_cells scratch: each object's bin (or -1), the counting-sorted
+  // bin buckets and the evicted objects.
+  std::vector<std::int64_t> obj_bin_;
+  std::vector<std::int64_t> bin_start_;
+  std::vector<std::int64_t> bin_members_;
+  std::vector<double> bin_usage_;
+  std::vector<std::int64_t> homeless_;
+  // The re-home search order: (dx, dy) offsets from the source bin by
+  // growing Manhattan radius; radius d's entries end at rehome_radius_end_[d].
+  std::vector<std::array<std::int32_t, 2>> rehome_offsets_;
+  std::vector<std::size_t> rehome_radius_end_;
+  // Per region slot (0 = unconstrained, region + 1 otherwise): the bounding
+  // box of admissible bins, and the resume cursor into rehome_offsets_ with
+  // the source bin it belongs to.
+  struct BinBox {
+    std::int64_t x_lo, x_hi, y_lo, y_hi;
+  };
+  std::vector<BinBox> rehome_box_;
+  std::vector<std::int64_t> resume_bin_;
+  std::vector<std::size_t> resume_at_;
 };
 
 }  // namespace mfa::place

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
+#include "common/check.h"
 #include "common/fault.h"
+#include "common/thread_pool.h"
 #include "netlist/generator.h"
 #include "place/inflation.h"
 #include "place/legalizer.h"
@@ -75,6 +81,96 @@ TEST(Problem, ExpandRoundTripsPositions) {
             problem.object_of_cell[static_cast<size_t>(i)])];
     (void)obj;
     EXPECT_GE(cy[static_cast<size_t>(i)], 3.25);
+  }
+}
+
+TEST(Placer, RejectsNonPositiveSpreadInterval) {
+  const auto device = test_device();
+  const auto design = small_design(device);
+  PlacementProblem problem(design, device);
+  for (const std::int64_t interval : {0, -3}) {
+    PlacerOptions options;
+    options.spread_interval = interval;
+    EXPECT_THROW(GlobalPlacer(problem, options), check::CheckError)
+        << "spread_interval " << interval;
+  }
+}
+
+// FNV-1a over the placement bits and the iteration count.
+std::uint64_t placement_hash(const GlobalPlacer& placer) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto& p = placer.placement();
+  mix(p.x.data(), p.x.size() * sizeof(double));
+  mix(p.y.data(), p.y.size() * sizeof(double));
+  const std::int64_t iters = placer.total_iterations();
+  mix(&iters, sizeof(iters));
+  return h;
+}
+
+// The placement must not change a bit with the pool size, and the gather
+// form of the forces must reproduce the scatter-form placer exactly. Runs
+// the golden test's reduced Design_116 (which has region-constrained
+// objects) through the Fig. 6 gate plus 40 further iterations, spreading
+// every iteration and every fourth, under pools of 1, 2 and 4 threads, and
+// pins the result to the hash the scatter-form placer produced.
+TEST(Placer, BitIdenticalAcrossPoolSizes) {
+  const auto device = DeviceGrid::make_xcvu3p_like(40, 32);
+  netlist::DesignSpec spec = netlist::mlcad2023_spec("Design_116");
+  spec.lut_util *= 0.4;
+  spec.ff_util *= 0.4;
+  spec.dsp_util *= 0.6;
+  spec.bram_util *= 0.6;
+  const auto design = DesignGenerator::generate(spec, device);
+  auto& pool = common::ThreadPool::instance();
+  struct RestorePool {
+    int size;
+    ~RestorePool() {
+      common::ThreadPool::instance().resize_for_testing(size);
+    }
+  } restore{pool.size()};
+  constexpr std::int64_t kIntervals[] = {1, 4};
+  constexpr std::uint64_t kPinned[] = {0x5794cf557b80f420ULL,
+                                       0x5318007892079c2cULL};
+  for (std::size_t k = 0; k < 2; ++k) {
+    std::vector<double> ref_x, ref_y;
+    for (const int threads : {1, 2, 4}) {
+      pool.resize_for_testing(threads);
+      PlacementProblem problem(design, device);
+      ASSERT_TRUE(std::any_of(problem.objects.begin(), problem.objects.end(),
+                              [](const MoveObject& o) { return o.region >= 0; }));
+      PlacerOptions options;
+      options.seed = 5;
+      options.spread_interval = kIntervals[k];
+      GlobalPlacer placer(problem, options);
+      placer.init_random();
+      placer.run_until_overflow_target();
+      placer.iterate(40);
+      const auto& p = placer.placement();
+      if (threads == 1) {
+        ref_x = p.x;
+        ref_y = p.y;
+        EXPECT_EQ(placement_hash(placer), kPinned[k])
+            << "spread_interval " << kIntervals[k] << ": hash 0x" << std::hex
+            << placement_hash(placer);
+        continue;
+      }
+      ASSERT_EQ(p.x.size(), ref_x.size());
+      EXPECT_EQ(std::memcmp(p.x.data(), ref_x.data(),
+                            ref_x.size() * sizeof(double)), 0)
+          << "x differs at " << threads << " threads, spread_interval "
+          << kIntervals[k];
+      EXPECT_EQ(std::memcmp(p.y.data(), ref_y.data(),
+                            ref_y.size() * sizeof(double)), 0)
+          << "y differs at " << threads << " threads, spread_interval "
+          << kIntervals[k];
+    }
   }
 }
 
