@@ -25,10 +25,10 @@
 #
 # Tape plan-alloc check: BM_BackwardOnly exports tape_plan_allocs_per_iter —
 # the number of times the tape's backward planner had to grow its reusable
-# scratch (levels, task lists, visit stamps) per iteration, after a warm-up
-# backward. --check fails when it is non-zero: the steady-state backward
-# pass must be allocation-free in the planner (hardware-independent, so
-# enforced on any host).
+# scratch (visit stamps, DFS stack, execution order) per iteration, after a
+# warm-up backward. --check fails when it is non-zero: the steady-state
+# backward pass must be allocation-free in the planner (hardware-independent,
+# so enforced on any host).
 #
 # Sanitizer compile-out check: the pool-counter benchmarks export
 # sanitize_compiled_in; --check fails when it is non-zero, i.e. when the
@@ -54,14 +54,7 @@
 # the baseline host (or when only the scalar variant is compiled) the gate
 # warns and skips, since the achievable ratio depends on the ISA.
 #
-# GEMM autotuner: `--tune-gemm` runs bench/bench_gemm.cpp --tune instead of
-# bench_micro: it sweeps register-tile / panel / pack-threshold candidates
-# per supported SIMD variant over the model's real GEMM shapes and writes
-# the winners to bench/tuned/<host-fingerprint>.json, which the dispatcher
-# loads at startup (see tensor/gemm_tune.h). Commit the file to pin the
-# tuning for this host; other hosts fall back to compiled defaults.
-#
-# Usage: scripts/bench.sh [--smoke] [--check] [--serve] [--tune-gemm]
+# Usage: scripts/bench.sh [--smoke] [--check] [--serve]
 #                         [--filter REGEX] [--trace FILE] [build-dir]
 #   --smoke    one repetition with a tiny min-time: proves the binary runs
 #              and the JSON pipeline works without burning CI minutes.
@@ -87,7 +80,6 @@ cd "$(dirname "$0")/.."
 SMOKE=0
 CHECK=0
 SERVE=0
-TUNE_GEMM=0
 FILTER=""
 TRACE=""
 BUILD_DIR=build
@@ -96,7 +88,6 @@ while [ "$#" -gt 0 ]; do
     --smoke) SMOKE=1 ;;
     --check) CHECK=1 ;;
     --serve) SERVE=1 ;;
-    --tune-gemm) TUNE_GEMM=1 ;;
     --filter) FILTER="$2"; shift ;;
     --trace) TRACE="$2"; shift ;;
     -*) echo "bench.sh: unknown flag: $1" >&2; exit 2 ;;
@@ -133,16 +124,6 @@ if missing:
 print(f"bench.sh: {path}: {len(events)} spans, {len(names)} distinct"
       f" (all required pipeline spans present)")
 PY
-  exit 0
-fi
-
-# --tune-gemm mode: sweep tile candidates, write the per-host cache, then
-# print the per-variant GFLOP/s table with the new tiles live and exit.
-if [ "${TUNE_GEMM}" = 1 ]; then
-  cmake --build "${BUILD_DIR}" --target bench_gemm -j"$(nproc)"
-  "${BUILD_DIR}/bench/bench_gemm" --tune
-  echo "bench.sh: post-tune sweep (tuned tiles load from bench/tuned/):"
-  "${BUILD_DIR}/bench/bench_gemm" --sweep
   exit 0
 fi
 

@@ -2,20 +2,15 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
+
+#include "common/env.h"
 
 namespace mfa::check {
 
 namespace {
 
-bool env_finite_grads() {
-  const char* v = std::getenv("MFA_CHECK_FINITE_GRADS");
-  return v != nullptr && std::strcmp(v, "0") != 0;
-}
-
 std::atomic<bool>& finite_grad_flag() {
-  static std::atomic<bool> flag{env_finite_grads()};
+  static std::atomic<bool> flag{env::flag("MFA_CHECK_FINITE_GRADS", false)};
   return flag;
 }
 

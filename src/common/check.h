@@ -38,8 +38,8 @@ class CheckError : public std::invalid_argument {
 };
 
 /// Runtime toggle for the NaN/Inf gradient scan in Tensor::backward().
-/// Off by default (it is O(tape size * tensor size)); seeded to on when the
-/// MFA_CHECK_FINITE_GRADS environment variable is set and non-"0".
+/// Off by default (it is O(tape size * tensor size)); seeded from the
+/// MFA_CHECK_FINITE_GRADS on/off switch (see common/env.h).
 bool finite_grad_checks_enabled();
 void set_finite_grad_checks(bool on);
 

@@ -10,20 +10,14 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/env.h"
 #include "common/fault.h"
 
 namespace mfa::obs {
 namespace {
 
-bool env_obs_enabled() {
-  const char* v = std::getenv("MFA_OBS");
-  if (v == nullptr) return true;
-  return !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{env_obs_enabled()};
+  static std::atomic<bool> flag{env::flag("MFA_OBS", true)};
   return flag;
 }
 

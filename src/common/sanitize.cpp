@@ -11,19 +11,13 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "common/log.h"
 #include "common/metrics.h"
 
 namespace mfa::sanitize {
 
 namespace {
-
-bool env_enabled() {
-  const char* v = std::getenv("MFA_SANITIZE_STORAGE");
-  if (!v) return false;
-  const std::string s(v);
-  return s == "on" || s == "1" || s == "true";
-}
 
 // One declared write range. `region` scopes the entry to the parallel_for
 // invocation that produced it (two top-level regions can run concurrently
@@ -40,7 +34,7 @@ struct WriteEntry {
 // Leaky singleton (same rationale as StoragePool / obs::Registry: the
 // checker is consulted from thread-exit paths of the worker pool).
 struct State {
-  std::atomic<bool> enabled{env_enabled()};
+  std::atomic<bool> enabled{env::flag("MFA_SANITIZE_STORAGE", false)};
   std::atomic<bool> race_tracking{true};
   std::atomic<bool> throw_on_violation{true};
   std::atomic<std::int64_t> counts[kNumDefects] = {};

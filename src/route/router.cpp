@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <cstdio>
 #include <queue>
 
 #include "common/check.h"
@@ -434,10 +433,6 @@ std::int64_t GlobalRouter::detailed_route() {
     }
     ++iterations;
     obs_rounds.add();
-    if (std::getenv("MFA_ROUTER_TRACE"))
-      std::fprintf(stderr, "[router] iter %lld overused %lld\n",
-                   static_cast<long long>(iterations),
-                   static_cast<long long>(overused));
     im.bump_history();
     im.pressure *= 1.4;  // PathFinder-style escalation
     // Early iterations retry the cheap pattern candidates; once history has

@@ -1,17 +1,18 @@
 // Dispatch front-end for the GEMM kernel family (see tensor/gemm.h).
 //
 // Owns everything the per-ISA kernel TUs must not touch: variant selection
-// (cpuid + MFA_SIMD + tuned-tile cache, resolved once), the row-parallel
-// partition, the sanitizer's declared-write ranges, the obs counters, and
-// the thread-local scratch arena. The kernel TUs (gemm_scalar.cpp,
-// gemm_avx2.cpp, gemm_avx512.cpp) export plain function-pointer tables and
-// contain only arithmetic — this TU is compiled at the build baseline, so
-// no wide instruction can leak onto an unsupported host before dispatch.
+// (cpuid + MFA_SIMD, resolved once), the row-parallel partition, the
+// sanitizer's declared-write ranges, the obs counters, and the thread-local
+// scratch arena. The kernel TUs (gemm_scalar.cpp, gemm_avx2.cpp,
+// gemm_avx512.cpp) export plain function-pointer tables and contain only
+// arithmetic — this TU is compiled at the build baseline, so no wide
+// instruction can leak onto an unsupported host before dispatch.
 #include "tensor/gemm.h"
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,7 +22,6 @@
 #include "common/parallel.h"
 #include "common/sanitize.h"
 #include "common/thread_pool.h"
-#include "tensor/gemm_tune.h"
 #include "tensor/gemm_variant.h"
 
 namespace mfa::kernels {
@@ -45,6 +45,9 @@ bool host_has_avx2() { return false; }
 bool host_has_avx512() { return false; }
 #endif
 
+// Tile parameters are compiled constants: any GemmTiles value yields the same
+// bits (gemm_tiles.h), so they only trade speed, and per-host tuned tiles
+// measured no faster end to end (DESIGN.md, "SIMD dispatch and GEMM tiles").
 GemmTiles compiled_defaults(Variant v) {
   GemmTiles t;  // the scalar strips read only nc (the legacy kColBlock)
   switch (v) {
@@ -65,15 +68,12 @@ GemmTiles compiled_defaults(Variant v) {
 struct VariantState {
   detail::StripKernels strips;
   bool supported = false;
-  GemmTiles base;   // startup tiles: tuned cache or compiled defaults
-  GemmTiles tiles;  // currently effective (== base unless overridden)
+  GemmTiles tiles;  // compiled defaults unless overridden
 };
 
 struct Dispatch {
   VariantState v[kNumVariants];
   Variant chosen = Variant::kScalar;
-  bool tuned_loaded = false;
-  std::string tuned_path;
 };
 
 Dispatch& dispatch();
@@ -102,64 +102,27 @@ Dispatch make_dispatch() {
   }
 #endif
   for (int i = 0; i < kNumVariants; ++i)
-    d.v[i].base = compiled_defaults(static_cast<Variant>(i));
-
-  // Tuned-tile cache: MFA_GEMM_TUNED path, else bench/tuned/<fp>.json.
-  // Any failure — missing, malformed, out-of-bounds, foreign host — means
-  // compiled defaults; a bad cache file must never break startup.
-  const char* env_path = std::getenv("MFA_GEMM_TUNED");
-  const std::string path =
-      env_path && *env_path ? env_path : tune::default_cache_path();
-  tune::TunedTable table;
-  std::string fp, err;
-  if (tune::parse_file(path, &table, &fp, &err)) {
-    const std::string host_fp = tune::host_id().fingerprint;
-    if (fp == host_fp) {
-      for (int i = 0; i < kNumVariants; ++i)
-        if (table.have[i]) d.v[i].base = table.tiles[i];
-      d.tuned_loaded = true;
-      d.tuned_path = path;
-    } else {
-      log::warn(
-          "gemm: tuned cache %s is for another host (fingerprint %s, this "
-          "host %s); using compiled default tiles",
-          path.c_str(), fp.c_str(), host_fp.c_str());
-    }
-  } else if (err != "missing") {
-    log::warn("gemm: ignoring tuned cache %s (%s); using compiled defaults",
-              path.c_str(), err.c_str());
-  }
-  for (int i = 0; i < kNumVariants; ++i) d.v[i].tiles = d.v[i].base;
+    d.v[i].tiles = compiled_defaults(static_cast<Variant>(i));
 
   d.chosen = detail::resolve_variant(std::getenv("MFA_SIMD"),
                                      d.v[1].supported, d.v[2].supported);
   const GemmTiles& ct = d.v[static_cast<int>(d.chosen)].tiles;
   log::info(
-      "gemm: dispatch=%s (avx2=%d avx512=%d, tiles %s: mr=%d nv=%d nc=%lld "
+      "gemm: dispatch=%s (avx2=%d avx512=%d, tiles: mr=%d nv=%d nc=%lld "
       "kc=%lld pack_min=%lld pack_min_a=%lld)",
       kVariantNames[static_cast<int>(d.chosen)], d.v[1].supported ? 1 : 0,
-      d.v[2].supported ? 1 : 0, d.tuned_loaded ? "tuned" : "default", ct.mr,
-      ct.nv, static_cast<long long>(ct.nc), static_cast<long long>(ct.kc),
-      static_cast<long long>(ct.pack_min),
+      d.v[2].supported ? 1 : 0, ct.mr, ct.nv, static_cast<long long>(ct.nc),
+      static_cast<long long>(ct.kc), static_cast<long long>(ct.pack_min),
       static_cast<long long>(ct.pack_min_a));
 
   // Pull source: snapshot-time values survive MFA_OBS toggling and always
   // reflect the live override state.
   obs::Registry::instance().register_source("gemm", [] {
     const Dispatch& s = dispatch();
-    const Variant a = active_in(s);
-    const GemmTiles& t = s.v[static_cast<int>(a)].tiles;
     return std::vector<std::pair<std::string, double>>{
-        {"dispatch", static_cast<double>(static_cast<int>(a))},
+        {"dispatch", static_cast<double>(static_cast<int>(active_in(s)))},
         {"supported.avx2", s.v[1].supported ? 1.0 : 0.0},
         {"supported.avx512", s.v[2].supported ? 1.0 : 0.0},
-        {"tuned", s.tuned_loaded ? 1.0 : 0.0},
-        {"tiles.mr", static_cast<double>(t.mr)},
-        {"tiles.nv", static_cast<double>(t.nv)},
-        {"tiles.nc", static_cast<double>(t.nc)},
-        {"tiles.kc", static_cast<double>(t.kc)},
-        {"tiles.pack_min", static_cast<double>(t.pack_min)},
-        {"tiles.pack_min_a", static_cast<double>(t.pack_min_a)},
     };
   });
   return d;
@@ -250,13 +213,8 @@ void set_tiles_override(Variant v, const GemmTiles* tiles) {
   const int i = static_cast<int>(v);
   MFA_CHECK(i >= 0 && i < kNumVariants)
       << " gemm: variant " << i << " out of range";
-  VariantState& vs = dispatch().v[i];
-  vs.tiles = tiles ? *tiles : vs.base;
+  dispatch().v[i].tiles = tiles ? *tiles : compiled_defaults(v);
 }
-
-bool tuned_tiles_loaded() { return dispatch().tuned_loaded; }
-
-std::string tuned_tiles_path() { return dispatch().tuned_path; }
 
 namespace detail {
 

@@ -10,9 +10,7 @@
 // from cpuid, overridable with MFA_SIMD=scalar|avx2|avx512. The SIMD
 // variants use register-tiled microkernels parameterised by GemmTiles and
 // pack B into cache-sized panels for large shapes (small shapes keep a
-// no-pack fast path); tile parameters come from compiled defaults or a
-// per-host autotuner cache (bench/tuned/<fingerprint>.json, written by
-// `scripts/bench.sh --tune-gemm`, path overridable with MFA_GEMM_TUNED).
+// no-pack fast path); tile parameters are compiled constants per variant.
 //
 // The front-end (gemm.cpp) owns the row-parallel partition, the sanitizer's
 // declared-write ranges, and the obs counters; kernel TUs contain only
@@ -33,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "tensor/gemm_tiles.h"
 
@@ -58,24 +55,19 @@ bool variant_supported(Variant v);
 /// "scalar" / "avx2" / "avx512".
 const char* variant_name(Variant v);
 
-/// Tile parameters currently in effect for `v` (tuned cache or compiled
-/// defaults, unless overridden via set_tiles_override).
+/// Tile parameters currently in effect for `v` (compiled defaults unless
+/// overridden via set_tiles_override).
 GemmTiles variant_tiles(Variant v);
 
 /// Forces the dispatch to variant `v` for subsequent gemm calls; -1 restores
 /// the startup choice. Returns false (and changes nothing) if `v` is not
-/// supported on this host. Test/tuner hook — call only while no gemm is in
-/// flight.
+/// supported on this host. Test/benchmark hook — call only while no gemm is
+/// in flight.
 bool set_variant_override(int v);
 
-/// Replaces the tile parameters for `v` (nullptr restores the startup
-/// values). Test/tuner hook — call only while no gemm is in flight.
+/// Replaces the tile parameters for `v` (nullptr restores the compiled
+/// defaults). Test hook — call only while no gemm is in flight.
 void set_tiles_override(Variant v, const GemmTiles* tiles);
-
-/// Whether a per-host tuned-tile cache file was loaded at startup, and its
-/// path ("" when running on compiled defaults).
-bool tuned_tiles_loaded();
-std::string tuned_tiles_path();
 
 namespace detail {
 /// Pure MFA_SIMD resolution (unit-testable): picks the widest supported

@@ -17,9 +17,9 @@
 // slot into a private dense buffer under a declared-write range, and reduces
 // the slots sequentially in slot order after the join. The floating-point
 // grouping therefore depends only on the problem size, making results
-// bit-identical across MFA_THREADS x MFA_POOL x MFA_EXEC (pinned by the
-// property suite and the LHNN golden hash). Gathers parallelise over the
-// output rows, which are disjoint by construction.
+// bit-identical across MFA_THREADS x MFA_POOL (pinned by the property suite
+// and the LHNN golden hash). Gathers parallelise over the output rows, which
+// are disjoint by construction.
 
 #include <algorithm>
 #include <cmath>

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/sanitize.h"
@@ -159,13 +160,6 @@ void heap_free(Block* b) {
   ::operator delete(b, std::align_val_t{alignof(Block)});
 }
 
-bool env_pool_enabled() {
-  const char* v = std::getenv("MFA_POOL");
-  if (!v) return true;
-  const std::string s(v);
-  return !(s == "off" || s == "0" || s == "false");
-}
-
 }  // namespace
 
 struct StoragePool::Impl {
@@ -234,7 +228,7 @@ struct StoragePool::Impl {
 };
 
 StoragePool::StoragePool() : impl_(new Impl) {
-  impl_->enabled.store(env_pool_enabled(), std::memory_order_relaxed);
+  impl_->enabled.store(env::flag("MFA_POOL", true), std::memory_order_relaxed);
   // Adopt the pool's existing counters into the metrics registry so
   // metrics_json() snapshots include allocator behaviour without adding a
   // second bump to the acquire/release hot path. `this` is the leaked

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -13,39 +11,11 @@
 #include "common/fault.h"
 #include "common/log.h"
 #include "common/metrics.h"
-#include "common/parallel.h"
 #include "common/sanitize.h"
-#include "common/thread_pool.h"
 
 namespace mfa::tensor {
 
 namespace {
-
-// Level dispatch heuristic: a level fans out across the pool only when the
-// average task carries at least this many output floats — below that the
-// submit/claim overhead exceeds the closure work. Derived from the graph
-// alone, so the decision (and therefore the schedule) is identical for every
-// MFA_THREADS; and since every schedule is bit-identical anyway, this is a
-// pure throughput knob.
-constexpr std::int64_t kMinParallelTaskFloats = 2048;
-
-bool env_flag_off(const char* name) {
-  const char* v = std::getenv(name);
-  if (!v) return false;
-  return std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-         std::strcmp(v, "false") == 0;
-}
-
-Executor env_default_executor() {
-  static const Executor e = [] {
-    const char* v = std::getenv("MFA_EXEC");
-    if (!v || std::strcmp(v, "graph") == 0) return Executor::kGraph;
-    if (std::strcmp(v, "seq") == 0) return Executor::kSeq;
-    log::warn("MFA_EXEC=%s is not 'seq' or 'graph'; using graph", v);
-    return Executor::kGraph;
-  }();
-  return e;
-}
 
 // Process-wide counters exported to mfa::obs (leaky singleton, same rationale
 // as the pool/sanitizer registries: tapes are thread_local and may die on
@@ -53,10 +23,6 @@ Executor env_default_executor() {
 struct GlobalStats {
   std::atomic<std::int64_t> nodes_recorded{0};
   std::atomic<std::int64_t> backwards{0};
-  std::atomic<std::int64_t> graph_backwards{0};
-  std::atomic<std::int64_t> fused_nodes{0};
-  std::atomic<std::int64_t> parallel_levels{0};
-  std::atomic<std::int64_t> parallel_tasks{0};
   std::atomic<std::int64_t> arena_hits{0};
   std::atomic<std::int64_t> arena_misses{0};
 
@@ -65,10 +31,6 @@ struct GlobalStats {
       return std::vector<std::pair<std::string, double>>{
           {"nodes_recorded", static_cast<double>(nodes_recorded.load())},
           {"backwards", static_cast<double>(backwards.load())},
-          {"graph_backwards", static_cast<double>(graph_backwards.load())},
-          {"fused_nodes", static_cast<double>(fused_nodes.load())},
-          {"parallel_levels", static_cast<double>(parallel_levels.load())},
-          {"parallel_tasks", static_cast<double>(parallel_tasks.load())},
           {"arena_hits", static_cast<double>(arena_hits.load())},
           {"arena_misses", static_cast<double>(arena_misses.load())},
       };
@@ -202,16 +164,10 @@ Tape& Tape::current() {
   return tape;
 }
 
-Tape::Tape()
-    : executor_(env_default_executor()),
-      fusion_(!env_flag_off("MFA_FUSE")),
-      arena_on_(!env_flag_off("MFA_ARENA")) {}
-
 std::int32_t Tape::record(const char* op_name,
                           std::shared_ptr<mfa::detail::TensorImpl> out,
                           const std::vector<Tensor>& inputs,
-                          std::function<void(mfa::detail::TensorImpl&)> fn,
-                          unsigned flags) {
+                          std::function<void(mfa::detail::TensorImpl&)> fn) {
   MFA_CHECK(!executing_)
       << " make_result while backward() is executing: taped ops inside a "
          "backward closure are not supported";
@@ -229,13 +185,13 @@ std::int32_t Tape::record(const char* op_name,
     parents_.push_back({std::move(impl), parent_node});
   }
   nodes_.push_back(Node{op_name, std::move(out), std::move(fn), parent_begin,
-                        static_cast<std::uint32_t>(parents_.size()), flags});
+                        static_cast<std::uint32_t>(parents_.size())});
   gstats().nodes_recorded.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
 Storage Tape::intermediate_storage(std::int64_t n, bool recording) {
-  if (n > 0 && arena_on_ && (recording || arena_scope_depth_ > 0) &&
+  if (n > 0 && (recording || arena_scope_depth_ > 0) &&
       StoragePool::instance().enabled()) {
     Storage s;
     if (arena_.try_acquire(n, s)) return s;
@@ -308,136 +264,6 @@ void Tape::plan_order(const std::int32_t* roots, std::size_t num_roots) {
   std::reverse(order_.begin(), order_.end());
 }
 
-void Tape::plan_schedule() {
-  const std::size_t m = order_.size();
-  const std::size_t node_count = nodes_.size();
-
-  // Reachable-consumer counts (an unreachable recorded node never runs, so
-  // it must not block fusion of the nodes it consumes).
-  plan_grow(consumers_, node_count);
-  for (const std::int32_t id : order_)
-    consumers_[static_cast<std::size_t>(id)] = 0;
-  for (const std::int32_t id : order_) {
-    const Node& n = nodes_[static_cast<std::size_t>(id)];
-    for (std::uint32_t p = n.parent_begin; p < n.parent_end; ++p)
-      if (parents_[p].node >= 0)
-        ++consumers_[static_cast<std::size_t>(parents_[p].node)];
-  }
-
-  // Fusion: merge an elementwise node into its sole consumer's task when the
-  // two are adjacent in execution order. Tasks stay contiguous runs of
-  // order_, so contracting them cannot create a cycle — every dependency
-  // still points from a lower task to a higher one.
-  plan_grow(task_of_node_, node_count);
-  plan_grow(task_begin_, m + 1);
-  std::uint32_t task_count = 0;
-  std::int64_t fused = 0;
-  std::size_t i = 0;
-  while (i < m) {
-    task_begin_[task_count] = static_cast<std::uint32_t>(i);
-    task_of_node_[static_cast<std::size_t>(order_[i])] = task_count;
-    while (fusion_ && i + 1 < m) {
-      const auto cur = static_cast<std::size_t>(order_[i]);
-      const auto nxt = static_cast<std::size_t>(order_[i + 1]);
-      if (!(nodes_[cur].flags & Tensor::kOpFlagElementwise)) break;
-      if (!(nodes_[nxt].flags & Tensor::kOpFlagElementwise)) break;
-      if (consumers_[nxt] != 1) break;
-      // The sole consumer must be the task tail itself (true chain link).
-      bool tail_consumes_next = false;
-      const Node& tail = nodes_[cur];
-      for (std::uint32_t p = tail.parent_begin; p < tail.parent_end; ++p)
-        if (parents_[p].node == order_[i + 1]) {
-          tail_consumes_next = true;
-          break;
-        }
-      if (!tail_consumes_next) break;
-      ++i;
-      task_of_node_[nxt] = task_count;
-      ++fused;
-    }
-    ++i;
-    ++task_count;
-  }
-  task_begin_[task_count] = static_cast<std::uint32_t>(m);
-
-  // Level assignment in one ascending pass. Two edge families, both embedded
-  // in execution order (edge tail always a lower task):
-  //  * chain edges — consecutive consumers of a shared parent tensor (leaf
-  //    or node) serialize in execution order, preserving the sequential
-  //    accumulation order into that parent's grad and making same-level
-  //    tasks write-disjoint;
-  //  * data edges — a producer task runs only after every consumer task has
-  //    scattered into its output's grad (accumulated forward into
-  //    task_min_level_, since producers execute later in backward).
-  plan_grow(task_level_, task_count);
-  plan_grow(task_min_level_, task_count);
-  plan_grow(task_weight_, task_count);
-  for (std::uint32_t t = 0; t < task_count; ++t) task_min_level_[t] = 0;
-  ++plan_token_;
-  std::uint32_t max_level = 0;
-  for (std::uint32_t t = 0; t < task_count; ++t) {
-    std::uint32_t lvl = task_min_level_[t];
-    std::int64_t weight = 0;
-    for (std::uint32_t pos = task_begin_[t]; pos < task_begin_[t + 1]; ++pos) {
-      const Node& n = nodes_[static_cast<std::size_t>(order_[pos])];
-      weight += static_cast<std::int64_t>(n.out->data.size());
-      for (std::uint32_t p = n.parent_begin; p < n.parent_end; ++p) {
-        mfa::detail::TensorImpl* pi = parents_[p].impl.get();
-        // A parent that doesn't require grad is never written by any
-        // closure (every op guards its scatter on requires_grad), so its
-        // consumers need no serialisation — e.g. a non-grad input feature
-        // map feeding several branches must not chain them.
-        if (!pi->requires_grad) continue;
-        if (pi->plan_stamp == plan_token_) {
-          const std::int32_t prev = pi->plan_last;
-          if (prev != static_cast<std::int32_t>(t) &&
-              task_level_[static_cast<std::uint32_t>(prev)] >= lvl)
-            lvl = task_level_[static_cast<std::uint32_t>(prev)] + 1;
-        } else {
-          pi->plan_stamp = plan_token_;
-        }
-        pi->plan_last = static_cast<std::int32_t>(t);
-      }
-    }
-    task_level_[t] = lvl;
-    task_weight_[t] = weight;
-    if (lvl > max_level) max_level = lvl;
-    for (std::uint32_t pos = task_begin_[t]; pos < task_begin_[t + 1]; ++pos) {
-      const Node& n = nodes_[static_cast<std::size_t>(order_[pos])];
-      for (std::uint32_t p = n.parent_begin; p < n.parent_end; ++p) {
-        if (parents_[p].node < 0) continue;
-        const std::uint32_t pt =
-            task_of_node_[static_cast<std::size_t>(parents_[p].node)];
-        if (pt != t && task_min_level_[pt] <= lvl) task_min_level_[pt] = lvl + 1;
-      }
-    }
-  }
-
-  // Counting sort of tasks into levels (stable: ascending task order within
-  // a level, which run_graph's sequential fallback then executes in plain
-  // execution order).
-  const std::uint32_t level_total = max_level + 1;
-  plan_grow(level_start_, level_total + 1);
-  for (std::uint32_t l = 0; l <= level_total; ++l) level_start_[l] = 0;
-  for (std::uint32_t t = 0; t < task_count; ++t)
-    ++level_start_[task_level_[t] + 1];
-  for (std::uint32_t l = 1; l <= level_total; ++l)
-    level_start_[l] += level_start_[l - 1];
-  plan_grow(level_cursor_, level_total);
-  for (std::uint32_t l = 0; l < level_total; ++l)
-    level_cursor_[l] = level_start_[l];
-  plan_grow(level_tasks_, task_count);
-  for (std::uint32_t t = 0; t < task_count; ++t)
-    level_tasks_[level_cursor_[task_level_[t]]++] = t;
-
-  last_plan_ = TapePlanStats{};
-  last_plan_.nodes = static_cast<std::int64_t>(m);
-  last_plan_.tasks = static_cast<std::int64_t>(task_count);
-  last_plan_.fused_nodes = fused;
-  last_plan_.levels = static_cast<std::int64_t>(level_total);
-  gstats().fused_nodes.fetch_add(fused, std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Tape — execution
 
@@ -456,22 +282,6 @@ void Tape::scan_grad_finite(mfa::detail::TensorImpl* impl) const {
   check::check_all_finite(impl->grad.data(),
                           static_cast<std::int64_t>(impl->grad.size()),
                           what.c_str());
-}
-
-void Tape::run_node(std::size_t pos) {
-  Node& n = nodes_[static_cast<std::size_t>(order_[pos])];
-  {
-    // Backtrace-lite for mfa::sanitize: violations raised inside this
-    // closure report the op that recorded it plus its position in the
-    // execution order (identical for MFA_EXEC=seq and =graph).
-    const sanitize::OpScope op_scope(n.op_name ? n.op_name : "backward",
-                                     static_cast<std::int64_t>(pos));
-    n.fn(*n.out);
-  }
-  if (MFA_FAULT_POINT("tensor.nan_grad") && n.parent_end > n.parent_begin) {
-    auto& pg = parents_[n.parent_begin].impl->grad;
-    if (!pg.empty()) pg[0] = std::numeric_limits<float>::quiet_NaN();
-  }
 }
 
 void Tape::run_seq(bool scan_grads) {
@@ -501,7 +311,18 @@ void Tape::run_seq(bool scan_grads) {
     // Dirty-set NaN/Inf guard: a node's gradient is final when the walk
     // reaches it (all consumers already ran), so it is scanned exactly once.
     if (scan_grads && !n.out->grad.empty()) scan_grad_finite(n.out.get());
-    run_node(pos);
+    {
+      // Backtrace-lite for mfa::sanitize: violations raised inside this
+      // closure report the op that recorded it plus its position in the
+      // execution order.
+      const sanitize::OpScope op_scope(n.op_name ? n.op_name : "backward",
+                                       static_cast<std::int64_t>(pos));
+      n.fn(*n.out);
+    }
+    if (MFA_FAULT_POINT("tensor.nan_grad") && n.parent_end > n.parent_begin) {
+      auto& pg = parents_[n.parent_begin].impl->grad;
+      if (!pg.empty()) pg[0] = std::numeric_limits<float>::quiet_NaN();
+    }
     if (scan_grads)
       for (std::uint32_t p = n.parent_begin; p < n.parent_end; ++p)
         parents_[p].impl->last_grad_writer = static_cast<std::int32_t>(pos);
@@ -514,55 +335,6 @@ void Tape::run_seq(bool scan_grads) {
   if (scan_grads)
     for (mfa::detail::TensorImpl* leaf : leaves_)
       if (!leaf->grad.empty()) scan_grad_finite(leaf);
-}
-
-void Tape::run_task(std::uint32_t task) {
-  for (std::uint32_t pos = task_begin_[task]; pos < task_begin_[task + 1];
-       ++pos) {
-    run_node(pos);
-    nodes_[static_cast<std::size_t>(order_[pos])].out->grad.reset();
-  }
-}
-
-void Tape::run_graph() {
-  auto& pool = common::ThreadPool::instance();
-  const std::size_t level_total = last_plan_.levels == 0
-                                      ? 0
-                                      : static_cast<std::size_t>(
-                                            last_plan_.levels);
-  for (std::size_t lvl = 0; lvl < level_total; ++lvl) {
-    const std::uint32_t begin = level_start_[lvl];
-    const std::uint32_t end = level_start_[lvl + 1];
-    const std::uint32_t width = end - begin;
-    bool fan_out = width >= 2 && pool.size() > 1;
-    if (fan_out) {
-      std::int64_t level_weight = 0;
-      for (std::uint32_t j = begin; j < end; ++j)
-        level_weight += task_weight_[level_tasks_[j]];
-      fan_out = level_weight / width >= kMinParallelTaskFloats;
-    }
-    if (!fan_out) {
-      for (std::uint32_t j = begin; j < end; ++j) run_task(level_tasks_[j]);
-      continue;
-    }
-    // Same-level tasks are provably write-disjoint (chain edges split the
-    // consumers of every shared tensor across levels), and each closure's
-    // own parallel_for runs inline inside the worker — numerics equal the
-    // sequential walk bit for bit.
-    parallel_for(
-        static_cast<std::int64_t>(width),
-        [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i)
-            run_task(level_tasks_[begin + static_cast<std::uint32_t>(i)]);
-        },
-        /*grain=*/1);
-    ++last_plan_.parallel_levels;
-    last_plan_.parallel_tasks += width;
-  }
-  gstats().parallel_levels.fetch_add(last_plan_.parallel_levels,
-                                     std::memory_order_relaxed);
-  gstats().parallel_tasks.fetch_add(last_plan_.parallel_tasks,
-                                    std::memory_order_relaxed);
 }
 
 void Tape::retire() {
@@ -621,23 +393,8 @@ void Tape::run_planned() {
   const bool scan_grads = check::finite_grad_checks_enabled();
   try {
     plan_order(root_ids_.data(), root_ids_.size());
-    // Diagnostics pin the sequential walk: race tracking so declared-write
-    // reports observe one canonical schedule (byte-identical across
-    // MFA_EXEC), finite-grad scanning so NaN attribution follows the
-    // documented single-scan walk order.
-    const bool graph = executor_ == Executor::kGraph && !scan_grads &&
-                       !sanitize::race_check_active();
-    if (graph) {
-      plan_schedule();
-      gstats().graph_backwards.fetch_add(1, std::memory_order_relaxed);
-      run_graph();
-    } else {
-      last_plan_ = TapePlanStats{};
-      last_plan_.nodes = static_cast<std::int64_t>(order_.size());
-      last_plan_.tasks = last_plan_.nodes;
-      last_plan_.levels = last_plan_.nodes;
-      run_seq(scan_grads);
-    }
+    last_plan_.nodes = static_cast<std::int64_t>(order_.size());
+    run_seq(scan_grads);
   } catch (...) {
     // Retire even on failure: closures up to the fault already scattered
     // partial gradients, the rest never will — the graph is unusable, and a

@@ -1,13 +1,10 @@
-// mfa::tensor::Tape — explicit autograd tape with a per-tape storage arena
-// and a parallel graph executor for backward().
+// mfa::tensor::Tape — explicit autograd tape with a per-tape storage arena.
 //
 // Before this layer existed, every op that produced a grad-requiring output
 // linked a std::shared_ptr<TensorImpl> web: each node owned its backward
-// closure plus shared_ptr edges to its parents, Tensor::backward() walked
-// that web with a fresh unordered_set + frame stack per call, and execution
-// was strictly sequential even where the DAG has parallel branches (the MFA
-// model's dual attention arms, encoder/decoder skips). The tape makes all
-// three costs explicit and fixes them:
+// closure plus shared_ptr edges to its parents, and Tensor::backward()
+// walked that web with a fresh unordered_set + frame stack per call. The
+// tape makes both costs explicit and fixes them:
 //
 //  * Representation. make_result records into the calling thread's Tape: a
 //    flat std::vector of plain nodes (op name, backward thunk, parent index
@@ -18,26 +15,14 @@
 //    node slots recycle, and the arena's buffers become reusable in one bulk
 //    step instead of one refcount chain collapse per node.
 //
-//  * Scheduling. backward() plans a reverse-topological level schedule over
-//    the recorded graph and dispatches independent branches across the
-//    existing ThreadPool. Determinism contract: gradient accumulation into a
-//    shared parent keeps the exact consumer order of the sequential walk —
-//    the planner adds chain edges serialising the consumers of every shared
-//    parent in that order, so two consumers of one tensor always land in
-//    different levels and scatter in the same order as MFA_EXEC=seq. Every
-//    edge embeds into the sequential execution order (a linear extension),
-//    so the task graph is acyclic by construction and the result is
-//    bit-identical for any MFA_THREADS — pinned by the golden hash.
-//
-//  * Fusion + lifetime. Trivial elementwise chains (add -> relu -> scale)
-//    are marked at record time (Tensor::kOpFlagElementwise); the planner
-//    merges a marked node into its sole consumer's task when the two are
-//    adjacent in the execution order. Merging only order-adjacent pairs
-//    keeps the contracted task graph a contraction of a linear-extension
-//    interval, which cannot introduce cycles. Fusion changes scheduling
-//    only, never numerics. Buffer lifetime is handled by the arena: a
-//    buffer whose last reader retired has refcount 1 again and is reused by
-//    the next acquisition in the same step.
+//  * Execution. backward() plans a reverse-topological order over the
+//    recorded graph (one iterative DFS into reused, epoch-stamped scratch, so
+//    the steady state allocates nothing) and runs the closures one after
+//    another on the calling thread. Each closure parallelises internally via
+//    parallel_for, and gradient accumulation into a shared parent follows the
+//    fixed execution order, so the result is bit-identical for any
+//    MFA_THREADS — pinned by the golden hash. Each node's gradient buffer is
+//    released as soon as the walk passes it.
 //
 // The arena (TapeArena) is a per-thread recycling ring per size bucket:
 // acquire scans for an entry whose block the arena is the sole owner of
@@ -48,22 +33,16 @@
 // cursors reset and the ring trims to the high-water mark of the last two
 // steps, so a shrinking workload gives memory back. MFA_POOL=off disables
 // the arena entirely: every acquisition is a raw heap allocation again and
-// ASan sees full poisoning, exactly as before.
+// ASan sees full poisoning.
 //
-// Escape hatches and diagnostics:
-//  * MFA_EXEC=seq pins the sequential walk (identical numerics, one thread).
-//  * MFA_ARENA=off keeps the pool-per-op path with the tape executor.
-//  * MFA_FUSE=off disables backward task fusion.
-//  * When finite-grad scanning (MFA_CI_FINITE_GRADS) or the storage
-//    sanitizer's declared-write race tracking is active, backward() always
-//    takes the sequential path: diagnostic reports then observe the one
-//    canonical schedule, byte-identical across MFA_EXEC modes.
+// With finite-grad scanning on (check::finite_grad_checks_enabled(), seeded
+// from MFA_CHECK_FINITE_GRADS), the walk scans each gradient once, when it
+// is final, and names the tape node that last wrote it.
 //
 // Thread model: Tape::current() is thread_local. A graph must be recorded
 // and executed on one thread (true for every current caller: trainer, flow,
-// serve workers each build and backprop on their own thread). Closures may
-// run on ThreadPool workers during graph execution; they call parallel_for
-// freely (nested regions run inline).
+// serve workers each build and backprop on their own thread). Closures call
+// parallel_for freely.
 #pragma once
 
 #include <cstdint>
@@ -76,18 +55,13 @@
 
 namespace mfa::tensor {
 
-/// Backward execution strategy. kGraph is the default; MFA_EXEC=seq selects
-/// the sequential walk (bit-identical numerics, no task dispatch).
-enum class Executor : int { kSeq = 0, kGraph = 1 };
-
 /// Shape of the last planned backward, for tests and benchmarks.
 struct TapePlanStats {
-  std::int64_t nodes = 0;            // reachable nodes executed
-  std::int64_t tasks = 0;            // tasks after fusion
-  std::int64_t fused_nodes = 0;      // nodes merged into a predecessor task
-  std::int64_t levels = 0;           // depth of the level schedule
-  std::int64_t parallel_levels = 0;  // levels dispatched across the pool
-  std::int64_t parallel_tasks = 0;   // tasks inside those levels
+  std::int64_t nodes = 0;  // reachable nodes executed
+  // Always 0: the walk runs every closure on the calling thread. Kept because
+  // perfbench's train workload still exports it as
+  // tensor.backward_parallel_tasks.
+  std::int64_t parallel_tasks = 0;
 };
 
 /// Per-thread bucketed recycling ring for intermediate tensor buffers.
@@ -146,7 +120,7 @@ class Tape {
   /// The calling thread's tape (constructed on first use).
   static Tape& current();
 
-  Tape();
+  Tape() = default;
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
@@ -158,8 +132,7 @@ class Tape {
   std::int32_t record(const char* op_name,
                       std::shared_ptr<mfa::detail::TensorImpl> out,
                       const std::vector<Tensor>& inputs,
-                      std::function<void(mfa::detail::TensorImpl&)> fn,
-                      unsigned flags);
+                      std::function<void(mfa::detail::TensorImpl&)> fn);
 
   /// Monotonic tape generation; bumped by every retire. A TensorImpl's
   /// (tape_id, tape_epoch) pair is valid only while the epochs match.
@@ -186,16 +159,16 @@ class Tape {
   /// simply receives its seed on top of the gradient scattered by its
   /// consumers. The execution order is the reverse of the concatenated DFS
   /// post-orders (restarted per root over one shared visited set), a linear
-  /// extension of the union DAG, so the chain-edge determinism contract and
-  /// the seq/graph bit-identity carry over unchanged.
+  /// extension of the union DAG, so accumulation into shared parents keeps
+  /// one fixed order and the result is bit-identical for any MFA_THREADS.
   void execute_backward(
       const std::vector<std::shared_ptr<mfa::detail::TensorImpl>>& roots);
 
   // ---- arena ----
 
   /// Buffer for an op output: zero-filled, from the arena when it may serve
-  /// (recording, or inside an ArenaScope; pool enabled; arena enabled),
-  /// otherwise a plain pooled/heap buffer — bit-identical either way.
+  /// (recording, or inside an ArenaScope; pool enabled), otherwise a plain
+  /// pooled/heap buffer — bit-identical either way.
   Storage intermediate_storage(std::int64_t n, bool recording);
 
   void begin_arena_scope();
@@ -203,23 +176,14 @@ class Tape {
 
   TapeArena& arena() { return arena_; }
 
-  // ---- knobs (env-seeded; per-thread setters for tests/benchmarks) ----
-
-  Executor executor() const { return executor_; }
-  void set_executor_for_testing(Executor e) { executor_ = e; }
-  bool fusion_enabled() const { return fusion_; }
-  void set_fusion_for_testing(bool on) { fusion_ = on; }
-  bool arena_enabled() const { return arena_on_; }
-  void set_arena_for_testing(bool on) { arena_on_ = on; }
-
   // ---- diagnostics ----
 
   const TapePlanStats& last_plan() const { return last_plan_; }
 
   /// Cumulative count of plan-buffer capacity growths on this thread's tape.
   /// Zero growth over an iteration proves backward() bookkeeping allocates
-  /// nothing in the steady state (the satellite claim bench.sh --check
-  /// asserts via bench_micro's tape_plan_allocs_per_iter).
+  /// nothing in the steady state (bench.sh --check asserts it via
+  /// bench_micro's tape_plan_allocs_per_iter).
   std::int64_t plan_grow_events() const { return plan_grow_events_; }
 
  private:
@@ -234,7 +198,6 @@ class Tape {
     std::function<void(mfa::detail::TensorImpl&)> fn;
     std::uint32_t parent_begin;
     std::uint32_t parent_end;
-    unsigned flags;
   };
 
   struct DfsFrame {
@@ -243,12 +206,8 @@ class Tape {
   };
 
   void plan_order(const std::int32_t* roots, std::size_t num_roots);
-  void plan_schedule();  // fusion + levels; graph mode only
-  void run_planned();    // plan + execute + retire from root_ids_
+  void run_planned();  // plan + execute + retire from root_ids_
   void run_seq(bool scan_grads);
-  void run_graph();
-  void run_task(std::uint32_t task);
-  void run_node(std::size_t pos);
   void scan_grad_finite(mfa::detail::TensorImpl* impl) const;
   void retire();
 
@@ -277,23 +236,10 @@ class Tape {
   std::vector<std::int32_t> order_;  // execution order (root first)
   std::vector<std::int32_t> root_ids_;  // taped roots of the current backward
   std::vector<mfa::detail::TensorImpl*> leaves_;  // scan-mode leaf list
-  std::vector<std::uint32_t> consumers_;          // per node id
-  std::vector<std::uint32_t> task_begin_;  // task t = order_[begin[t], begin[t+1])
-  std::vector<std::uint32_t> task_of_node_;       // per node id
-  std::vector<std::uint32_t> task_level_;         // per task
-  std::vector<std::uint32_t> task_min_level_;     // accumulated data edges
-  std::vector<std::int64_t> task_weight_;         // output floats per task
-  std::vector<std::uint32_t> level_start_;        // counting-sort offsets
-  std::vector<std::uint32_t> level_cursor_;       // counting-sort fill state
-  std::vector<std::uint32_t> level_tasks_;        // tasks grouped by level
   std::int64_t plan_grow_events_ = 0;
 
   TapeArena arena_;
   int arena_scope_depth_ = 0;
-
-  Executor executor_;
-  bool fusion_;
-  bool arena_on_;
 
   TapePlanStats last_plan_;
 };

@@ -228,8 +228,7 @@ void Tensor::copy_from(const Tensor& src) {
 }
 
 Tensor Tensor::make_result(Shape shape, std::vector<Tensor> inputs,
-                           std::function<void(detail::TensorImpl&)> backward,
-                           unsigned flags) {
+                           std::function<void(detail::TensorImpl&)> backward) {
   auto& tape = tensor::Tape::current();
   bool needs = false;
   if (GradMode::enabled() && backward)
@@ -245,7 +244,7 @@ Tensor Tensor::make_result(Shape shape, std::vector<Tensor> inputs,
   if (!needs) return out;
   out.impl_->requires_grad = true;
   out.impl_->tape_id = tape.record(sanitize::current_op(), out.impl_, inputs,
-                                   std::move(backward), flags);
+                                   std::move(backward));
   out.impl_->tape_epoch = tape.epoch();
   return out;
 }

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "common/log.h"
 #include "common/parallel.h"
 
@@ -64,6 +65,47 @@ TEST(ParallelFor, SumMatchesSequential) {
                  sum += local;
                }, 64);
   EXPECT_EQ(sum.load(), 4096LL * 4095 / 2);
+}
+
+// The four on/off knobs share env::parse_flag. Each knob is read once per
+// process, so the table calls the parser directly with each knob's default.
+TEST(EnvFlag, OnOffKnobsShareOneSpellingSet) {
+  struct Case {
+    const char* knob;
+    const char* value;
+    bool fallback;
+    bool expect;
+  };
+  const Case cases[] = {
+      {"MFA_POOL", "0", true, false},
+      {"MFA_POOL", "off", true, false},
+      {"MFA_POOL", "false", true, false},
+      {"MFA_POOL", "1", true, true},
+      {"MFA_OBS", "off", true, false},
+      {"MFA_OBS", "on", true, true},
+      {"MFA_SANITIZE_STORAGE", "1", false, true},
+      {"MFA_SANITIZE_STORAGE", "on", false, true},
+      {"MFA_SANITIZE_STORAGE", "true", false, true},
+      {"MFA_SANITIZE_STORAGE", "0", false, false},
+      {"MFA_CHECK_FINITE_GRADS", "on", false, true},
+      {"MFA_CHECK_FINITE_GRADS", "0", false, false},
+      // Used to arm the scan: any value but "0" counted as on.
+      {"MFA_CHECK_FINITE_GRADS", "off", false, false},
+      {"MFA_CHECK_FINITE_GRADS", "false", false, false},
+      // Unset or empty keeps the default.
+      {"MFA_POOL", nullptr, true, true},
+      {"MFA_CHECK_FINITE_GRADS", nullptr, false, false},
+      {"MFA_OBS", "", true, true},
+      // Anything else warns and keeps the default.
+      {"MFA_POOL", "no", true, true},
+      {"MFA_OBS", "OFF", true, true},
+      {"MFA_SANITIZE_STORAGE", "yes", false, false},
+      {"MFA_CHECK_FINITE_GRADS", "2", false, false},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(env::parse_flag(c.knob, c.value, c.fallback), c.expect)
+        << c.knob << "=" << (c.value ? c.value : "(unset)")
+        << " default=" << c.fallback;
 }
 
 TEST(Log, FormatProducesPrintfOutput) {

@@ -10,9 +10,7 @@
 //  * dispatch control: MFA_SIMD resolution (pure resolver + live env),
 //    override honored for supported variants and rejected gracefully for
 //    unsupported ones;
-//  * the 64-byte alignment guarantee of the kernels::scratch arena;
-//  * the tuned-tile cache: fingerprinting, render/parse round-trip, and the
-//    corrupt / foreign-host fallback paths.
+//  * the 64-byte alignment guarantee of the kernels::scratch arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,8 +18,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -29,7 +25,6 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "tensor/gemm.h"
-#include "tensor/gemm_tune.h"
 
 namespace mfa {
 namespace {
@@ -305,16 +300,8 @@ TEST(GemmObs, DispatchVariantTilesAndCountersAreExported) {
       "\"gemm.dispatch\":" +
       std::to_string(static_cast<int>(kernels::active_variant()));
   EXPECT_NE(std::string::npos, json.find(dispatch_entry)) << json;
-  const std::string tuned_entry =
-      std::string("\"gemm.tuned\":") +
-      (kernels::tuned_tiles_loaded() ? "1" : "0");
-  EXPECT_NE(std::string::npos, json.find(tuned_entry)) << json;
-  const GemmTiles t = kernels::variant_tiles(kernels::active_variant());
-  EXPECT_NE(std::string::npos,
-            json.find("\"gemm.tiles.mr\":" + std::to_string(t.mr)));
-  EXPECT_NE(std::string::npos,
-            json.find("\"gemm.tiles.nc\":" + std::to_string(t.nc)));
   EXPECT_NE(std::string::npos, json.find("\"gemm.supported.avx2\":"));
+  EXPECT_NE(std::string::npos, json.find("\"gemm.supported.avx512\":"));
   EXPECT_NE(std::string::npos, json.find("\"gemm.calls\":"));
 
   // The source tracks a live override.
@@ -351,121 +338,6 @@ TEST(GemmObs, PackedPanelCounterCountsOnlyPackedCalls) {
   std::vector<float> big_c(32 * 96, 0.0f);
   kernels::gemm_nn(big_a.data(), big_b.data(), big_c.data(), 32, 64, 96);
   EXPECT_GT(obs::counter("gemm.packed_panels").value(), before);
-}
-
-// ---- tuned-tile cache ----------------------------------------------------
-
-TEST(GemmTune, FingerprintIsStableAndSensitive) {
-  const std::string a = kernels::tune::fingerprint_of("cpu-a", 8);
-  EXPECT_EQ(16u, a.size());
-  EXPECT_EQ(a, kernels::tune::fingerprint_of("cpu-a", 8));
-  EXPECT_NE(a, kernels::tune::fingerprint_of("cpu-b", 8));
-  EXPECT_NE(a, kernels::tune::fingerprint_of("cpu-a", 4));
-  const auto host = kernels::tune::host_id();
-  EXPECT_EQ(host.fingerprint,
-            kernels::tune::fingerprint_of(host.cpu, host.cores));
-}
-
-TEST(GemmTune, RenderParseRoundTripPreservesTiles) {
-  kernels::tune::HostId host;
-  host.cpu = "Test CPU \"quoted\"";
-  host.cores = 12;
-  host.fingerprint = kernels::tune::fingerprint_of(host.cpu, host.cores);
-  kernels::tune::TunedTable table;
-  table.have[0] = true;
-  table.tiles[0] = GemmTiles{};
-  table.have[2] = true;
-  table.tiles[2].mr = 8;
-  table.tiles[2].nv = 4;
-  table.tiles[2].nc = 1024;
-  table.tiles[2].kc = 128;
-  table.tiles[2].pack_min = 65536;
-  table.tiles[2].pack_min_a = 4096;
-
-  const std::string text = kernels::tune::render(host, table);
-  kernels::tune::TunedTable parsed;
-  std::string fp, err;
-  ASSERT_TRUE(kernels::tune::parse_text(text, &parsed, &fp, &err)) << err;
-  EXPECT_EQ(host.fingerprint, fp);
-  EXPECT_TRUE(parsed.have[0]);
-  EXPECT_FALSE(parsed.have[1]);
-  ASSERT_TRUE(parsed.have[2]);
-  EXPECT_EQ(8, parsed.tiles[2].mr);
-  EXPECT_EQ(4, parsed.tiles[2].nv);
-  EXPECT_EQ(1024, parsed.tiles[2].nc);
-  EXPECT_EQ(128, parsed.tiles[2].kc);
-  EXPECT_EQ(65536, parsed.tiles[2].pack_min);
-  EXPECT_EQ(4096, parsed.tiles[2].pack_min_a);
-}
-
-TEST(GemmTune, CorruptAndOutOfBoundsInputsAreRejected) {
-  kernels::tune::TunedTable table;
-  std::string fp, err;
-  const char* bad[] = {
-      "",
-      "not json",
-      "{",
-      "{\"fingerprint\": \"x\"",
-      "{\"fingerprint\": \"x\"} trailing",
-      "{\"variants\": {\"scalar\": {\"mr\": 4}}}",  // no fingerprint
-      "{\"fingerprint\": \"x\", \"variants\": {\"mmx\": {\"mr\": 4}}}",
-      // mr=5 fails the sanity bounds:
-      "{\"fingerprint\": \"x\", \"variants\": {\"avx2\": {\"mr\": 5, "
-      "\"nv\": 2, \"nc\": 512, \"kc\": 256, \"pack_min\": 0}}}",
-  };
-  for (const char* text : bad) {
-    EXPECT_FALSE(kernels::tune::parse_text(text, &table, &fp, &err))
-        << "accepted: " << text;
-  }
-  EXPECT_FALSE(kernels::tune::parse_file("/nonexistent/gemm_tuned.json",
-                                         &table, &fp, &err));
-  EXPECT_EQ("missing", err);
-}
-
-TEST(GemmTune, WriteFileRoundTripsThroughParseFile) {
-  const auto dir = std::filesystem::temp_directory_path() / "mfa_gemm_tune";
-  const std::string path = (dir / "cache.json").string();
-  std::filesystem::remove_all(dir);
-
-  const auto host = kernels::tune::host_id();
-  kernels::tune::TunedTable table;
-  table.have[0] = true;
-  table.tiles[0].nc = 768;
-  std::string err;
-  ASSERT_TRUE(kernels::tune::write_file(path, host, table, &err)) << err;
-
-  kernels::tune::TunedTable parsed;
-  std::string fp;
-  ASSERT_TRUE(kernels::tune::parse_file(path, &parsed, &fp, &err)) << err;
-  EXPECT_EQ(host.fingerprint, fp);
-  ASSERT_TRUE(parsed.have[0]);
-  EXPECT_EQ(768, parsed.tiles[0].nc);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(GemmTune, TilesSaneBounds) {
-  GemmTiles t;
-  EXPECT_TRUE(kernels::tune::tiles_sane(t));
-  t.mr = 5;
-  EXPECT_FALSE(kernels::tune::tiles_sane(t));
-  t.mr = 8;
-  t.nv = 3;
-  EXPECT_FALSE(kernels::tune::tiles_sane(t));
-  t.nv = 4;
-  t.nc = 8;
-  EXPECT_FALSE(kernels::tune::tiles_sane(t));
-  t.nc = 16;
-  t.kc = 4;
-  EXPECT_FALSE(kernels::tune::tiles_sane(t));
-  t.kc = 8;
-  t.pack_min = -1;
-  EXPECT_FALSE(kernels::tune::tiles_sane(t));
-  t.pack_min = 0;
-  EXPECT_TRUE(kernels::tune::tiles_sane(t));
-  t.pack_min_a = -1;
-  EXPECT_FALSE(kernels::tune::tiles_sane(t));
-  t.pack_min_a = 0;
-  EXPECT_TRUE(kernels::tune::tiles_sane(t));
 }
 
 }  // namespace

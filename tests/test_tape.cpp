@@ -1,15 +1,12 @@
-// Tests for the autograd tape + graph executor (tensor/tape.h).
+// Tests for the autograd tape (tensor/tape.h).
 //
-// The contract under test: MFA_EXEC=graph schedules independent backward
-// branches across the ThreadPool yet stays BIT-identical to the sequential
-// walk — for any thread count, pool mode, fusion on/off — because the
-// planner serialises the consumers of every shared grad-requiring tensor in
-// sequential execution order (chain edges) and only fuses execution-adjacent
-// sole-consumer elementwise pairs. The tape arena must recycle intermediate
-// buffers across steps without perturbing numerics, keep escaped tensors
-// alive, and give memory back when the workload shrinks. Diagnostics (race
-// tracking, finite-grad scans) pin the sequential walk so their reports are
-// schedule-independent across MFA_EXEC modes.
+// The contract under test: backward() runs the closures in one fixed
+// reverse-topological order, so gradients are BIT-identical for any thread
+// count and with the storage pool on or off (pool off also bypasses the
+// tape arena). The arena must recycle intermediate buffers across steps
+// without perturbing numerics, keep escaped tensors alive, and give memory
+// back when the workload shrinks. Diagnostic reports (race tracking) are
+// identical for every pool size.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,38 +33,37 @@ using ops::conv2d;
 using ops::mul;
 using ops::relu;
 using ops::sum;
-using tensor::Executor;
 using tensor::StoragePool;
 using tensor::Tape;
 
-/// Pins the executor mode, fusion, arena, and pool-thread count for a test
-/// body; restores everything on exit. The tape knobs are thread-local, so
-/// this configures exactly the thread the graphs are built and run on.
+/// Pins the pool-thread count and the storage-pool switch for a test body;
+/// restores both on exit. The pool switch defaults to its current state.
 class TapeEnv {
  public:
-  TapeEnv(Executor exec, int threads, bool fusion = true, bool arena = true)
-      : exec_prev_(Tape::current().executor()),
-        fusion_prev_(Tape::current().fusion_enabled()),
-        arena_prev_(Tape::current().arena_enabled()),
-        threads_prev_(common::ThreadPool::instance().size()) {
-    Tape::current().set_executor_for_testing(exec);
-    Tape::current().set_fusion_for_testing(fusion);
-    Tape::current().set_arena_for_testing(arena);
+  explicit TapeEnv(int threads, bool pool = StoragePool::instance().enabled())
+      : threads_prev_(common::ThreadPool::instance().size()),
+        pool_prev_(StoragePool::instance().enabled()) {
     common::ThreadPool::instance().resize_for_testing(threads);
+    StoragePool::instance().set_enabled(pool);
   }
   ~TapeEnv() {
+    StoragePool::instance().set_enabled(pool_prev_);
     common::ThreadPool::instance().resize_for_testing(threads_prev_);
-    Tape::current().set_arena_for_testing(arena_prev_);
-    Tape::current().set_fusion_for_testing(fusion_prev_);
-    Tape::current().set_executor_for_testing(exec_prev_);
   }
 
  private:
-  Executor exec_prev_;
-  bool fusion_prev_;
-  bool arena_prev_;
   int threads_prev_;
+  bool pool_prev_;
 };
+
+/// The bit-identity matrix: pool threads {1, 4} x storage pool {on, off}.
+/// Entry 0 is the reference every other configuration must match.
+struct ExecConfig {
+  int threads;
+  bool pool;
+};
+constexpr ExecConfig kExecConfigs[] = {
+    {1, true}, {4, true}, {1, false}, {4, false}};
 
 Tensor make_input(Shape shape, int seed, float scale = 1.0f) {
   Rng rng(static_cast<std::uint64_t>(seed));
@@ -75,9 +71,7 @@ Tensor make_input(Shape shape, int seed, float scale = 1.0f) {
 }
 
 /// A wide graph: `branches` independent relu(w_i * x_i) arms joined by a
-/// balanced add tree. Each arm's backward tasks are heavy enough for the
-/// level dispatcher to fan out, and the arms share no grad-requiring tensor,
-/// so they land in one level.
+/// balanced add tree.
 Tensor wide_branch_loss(const std::vector<Tensor>& ws,
                         const std::vector<Tensor>& xs) {
   std::vector<Tensor> arms;
@@ -108,17 +102,16 @@ std::vector<float> grads_after_backward(const std::function<Tensor()>& fn,
   return flat;
 }
 
-// ---- correctness: gradcheck under the graph executor --------------------
+// ---- correctness: gradcheck and bit identity ------------------------------
 
 TEST(TapeGraph, DiamondGraphGradchecksUnderGraphExecutor) {
-  const TapeEnv env(Executor::kGraph, 4);
+  const TapeEnv env(4);
   Tensor a = make_input({64}, 11, 0.5f);
   const auto result = gradcheck(
       [&] {
-        // Two distinct paths from one tensor, re-joined: the planner must
-        // chain both consumers of `a` and both writers into its grad.
-        // Smooth ops only — a relu kink near zero would dominate the
-        // finite-difference error.
+        // Two distinct paths from one tensor, re-joined: both consumers of
+        // `a` scatter into its grad. Smooth ops only — a relu kink near
+        // zero would dominate the finite-difference error.
         Tensor left = mul(a, a);
         Tensor right = ops::tanh(a);
         return sum(add(mul(left, right), left));
@@ -137,26 +130,24 @@ TEST(TapeGraph, SharedSubexpressionAccumulatesIdenticallyToSeq) {
     Tensor s = mul(a, a);
     return sum(add(add(mul(s, b), relu(s)), mul(s, s)));
   };
-  std::vector<float> seq_grads, graph_grads;
-  {
-    const TapeEnv env(Executor::kSeq, 1);
-    seq_grads = grads_after_backward(build, params);
+  std::vector<std::vector<float>> runs;
+  for (const ExecConfig& cfg : kExecConfigs) {
+    const TapeEnv env(cfg.threads, cfg.pool);
+    runs.push_back(grads_after_backward(build, params));
   }
-  {
-    const TapeEnv env(Executor::kGraph, 4);
-    graph_grads = grads_after_backward(build, params);
+  for (size_t c = 1; c < runs.size(); ++c) {
+    ASSERT_EQ(runs[0].size(), runs[c].size());
+    for (size_t i = 0; i < runs[0].size(); ++i)
+      ASSERT_EQ(runs[0][i], runs[c][i])
+          << "config " << c << ": grad diverged at " << i;
   }
-  ASSERT_EQ(seq_grads.size(), graph_grads.size());
-  for (size_t i = 0; i < seq_grads.size(); ++i)
-    ASSERT_EQ(seq_grads[i], graph_grads[i]) << "grad diverged at " << i;
 }
 
 TEST(TapeGraph, ConvTrainStepBitIdenticalSeqVsGraphAndFusionOnOff) {
   // A conv+elementwise composite trained for a few steps: parameters must
-  // stay bitwise equal between MFA_EXEC modes and with fusion on/off.
-  const auto run = [](Executor exec, int threads,
-                      bool fusion) -> std::vector<float> {
-    const TapeEnv env(exec, threads, fusion);
+  // stay bitwise equal across thread counts and storage-pool modes.
+  const auto run = [](const ExecConfig& cfg) -> std::vector<float> {
+    const TapeEnv env(cfg.threads, cfg.pool);
     Rng rng(99);
     Tensor x = Tensor::randn({2, 3, 8, 8}, rng, 1.0f);
     Tensor w = Tensor::randn({4, 3, 3, 3}, rng, 0.3f, true);
@@ -176,47 +167,15 @@ TEST(TapeGraph, ConvTrainStepBitIdenticalSeqVsGraphAndFusionOnOff) {
     }
     return flat;
   };
-  const auto baseline = run(Executor::kSeq, 1, true);
-  EXPECT_EQ(baseline, run(Executor::kGraph, 1, true));
-  EXPECT_EQ(baseline, run(Executor::kGraph, 4, true));
-  EXPECT_EQ(baseline, run(Executor::kGraph, 4, false));
-  EXPECT_EQ(baseline, run(Executor::kSeq, 4, false));
-}
-
-// ---- scheduling: the plan actually fuses and parallelises ---------------
-
-TEST(TapeGraph, ElementwiseChainFusesIntoOneTask) {
-  const TapeEnv env(Executor::kGraph, 1);
-  Tensor a = make_input({256}, 14);
-  // add -> relu -> mul(scalar): a pure elementwise chain with sole
-  // consumers; the planner must merge it rather than schedule 1-node tasks.
-  sum(ops::mul_scalar(relu(add(a, a)), 0.5f)).backward();
-  const auto& plan = Tape::current().last_plan();
-  EXPECT_GT(plan.fused_nodes, 0) << "no elementwise pair was fused";
-  EXPECT_LT(plan.tasks, plan.nodes);
-}
-
-TEST(TapeGraph, IndependentBranchesShareALevel) {
-  const TapeEnv env(Executor::kGraph, 4);
-  std::vector<Tensor> ws, xs;
-  for (int i = 0; i < 4; ++i) {
-    ws.push_back(make_input({4096}, 20 + i, 0.5f));
-    // Non-grad inputs: shared by nothing, written by nothing.
-    Rng rng(static_cast<std::uint64_t>(40 + i));
-    xs.push_back(Tensor::randn({4096}, rng, 0.5f));
-  }
-  wide_branch_loss(ws, xs).backward();
-  const auto& plan = Tape::current().last_plan();
-  EXPECT_GT(plan.parallel_levels, 0)
-      << "no level fanned out across the pool (tasks=" << plan.tasks
-      << ", levels=" << plan.levels << ")";
-  EXPECT_GE(plan.parallel_tasks, 4);
+  const auto baseline = run(kExecConfigs[0]);
+  for (size_t c = 1; c < std::size(kExecConfigs); ++c)
+    EXPECT_EQ(baseline, run(kExecConfigs[c])) << "config " << c;
 }
 
 // ---- bookkeeping: zero-alloc steady state -------------------------------
 
 TEST(TapeGraph, PlanBookkeepingStopsAllocatingAfterWarmup) {
-  const TapeEnv env(Executor::kGraph, 4);
+  const TapeEnv env(4);
   std::vector<Tensor> ws, xs;
   for (int i = 0; i < 4; ++i) {
     ws.push_back(make_input({1024}, 60 + i, 0.5f));
@@ -238,7 +197,7 @@ TEST(TapeGraph, PlanBookkeepingStopsAllocatingAfterWarmup) {
 TEST(TapeArenaTest, SteadyStateReusesEntriesAndTrimsAfterShrink) {
   if (!StoragePool::instance().enabled())
     GTEST_SKIP() << "pool disabled (MFA_POOL=off): arena is bypassed";
-  const TapeEnv env(Executor::kGraph, 1);
+  const TapeEnv env(1);
   auto& arena = Tape::current().arena();
   arena.clear();
   std::vector<Tensor> ws, xs;
@@ -274,7 +233,7 @@ TEST(TapeArenaTest, SteadyStateReusesEntriesAndTrimsAfterShrink) {
 TEST(TapeArenaTest, EscapedIntermediatePinsItsBufferAcrossRetire) {
   if (!StoragePool::instance().enabled())
     GTEST_SKIP() << "pool disabled (MFA_POOL=off): arena is bypassed";
-  const TapeEnv env(Executor::kGraph, 1);
+  const TapeEnv env(1);
   Tensor a = make_input({512}, 30, 0.5f);
   Tensor y = mul(a, a);  // intermediate drawn from the arena
   sum(y).backward();     // retires the tape; y's handle must pin its entry
@@ -294,33 +253,15 @@ TEST(TapeArenaTest, EscapedIntermediatePinsItsBufferAcrossRetire) {
   }
 }
 
-TEST(TapeArenaTest, TrainStepBitIdenticalArenaOnVsOff) {
-  const auto run = [](bool arena) -> std::vector<float> {
-    const TapeEnv env(Executor::kGraph, 4, /*fusion=*/true, arena);
-    Rng rng(77);
-    Tensor w = Tensor::randn({2048}, rng, 0.5f, true);
-    Tensor x = Tensor::randn({2048}, rng, 0.5f);
-    std::vector<Tensor> params = {w};
-    nn::Sgd opt(params, 0.1f);
-    for (int step = 0; step < 4; ++step) {
-      opt.zero_grad();
-      sum(relu(mul(w, x))).backward();
-      opt.step();
-    }
-    return w.to_vector();
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
-// ---- diagnostics force the sequential walk ------------------------------
+// ---- diagnostics under the storage sanitizer -----------------------------
 
 TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossExecModes) {
   if (!sanitize::compiled_in())
     GTEST_SKIP() << "storage sanitizer compiled out (NDEBUG build)";
   // A backward closure with the classic forgotten-offset bug: every chunk
-  // declares [0, end). With race tracking armed, the executor must pin the
-  // sequential walk in BOTH exec modes, so the report (op name, tape node,
-  // chunk ids) is byte-identical — never a worker-task schedule accident.
+  // declares [0, end). With race tracking armed, parallel_for partitions
+  // into a fixed chunk count, so the report (op name, tape node, chunk ids)
+  // is byte-identical for 1 and 4 pool threads — never a schedule accident.
   const bool pool_prev = StoragePool::instance().enabled();
   const bool san_prev = sanitize::enabled();
   StoragePool::instance().set_enabled(true);
@@ -329,7 +270,7 @@ TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossExecModes) {
   sanitize::reset_counts();
   // One tensor shared by both runs: the report names the faulting buffer by
   // address, and `a`'s grad storage persists across backward calls, so the
-  // two reports can only match if the executor pins one canonical schedule.
+  // two reports can only match if both runs follow one canonical schedule.
   Tensor a = make_input({1 << 20}, 55);
   const auto buggy_loss = [](const Tensor& in) {
     Tensor y = Tensor::make_result(
@@ -345,9 +286,9 @@ TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossExecModes) {
     return sum(y);
   };
   std::string reports[2];
-  const Executor modes[2] = {Executor::kSeq, Executor::kGraph};
+  const int pool_sizes[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {
-    const TapeEnv env(modes[i], 4);
+    const TapeEnv env(pool_sizes[i]);
     a.zero_grad();
     try {
       buggy_loss(a).backward();
@@ -369,8 +310,9 @@ TEST(TapeSanitize, ParallelBackwardRunsCleanWithSanitizerArmed) {
   if (!sanitize::compiled_in())
     GTEST_SKIP() << "storage sanitizer compiled out (NDEBUG build)";
   // TSan-facing stress: redzone/lifetime/refcount checks stay armed while
-  // race tracking is OFF, so the graph executor genuinely fans backward
-  // tasks across 4 workers with the checker watching the pooled buffers.
+  // race tracking is OFF, so each backward closure's parallel_for genuinely
+  // fans its chunks across 4 workers with the checker watching the pooled
+  // buffers. Arms of 2^17 floats split into four elementwise-grain chunks.
   const bool pool_prev = StoragePool::instance().enabled();
   const bool san_prev = sanitize::enabled();
   StoragePool::instance().set_enabled(true);
@@ -379,21 +321,17 @@ TEST(TapeSanitize, ParallelBackwardRunsCleanWithSanitizerArmed) {
   sanitize::set_throw_on_violation(true);
   sanitize::reset_counts();
   {
-    const TapeEnv env(Executor::kGraph, 4);
+    const TapeEnv env(4);
     std::vector<Tensor> ws, xs;
     for (int i = 0; i < 4; ++i) {
-      ws.push_back(make_input({8192}, 70 + i, 0.5f));
+      ws.push_back(make_input({1 << 17}, 70 + i, 0.5f));
       Rng rng(static_cast<std::uint64_t>(75 + i));
-      xs.push_back(Tensor::randn({8192}, rng, 0.5f));
+      xs.push_back(Tensor::randn({1 << 17}, rng, 0.5f));
     }
-    std::int64_t parallel_tasks = 0;
     for (int step = 0; step < 8; ++step) {
       for (auto& w : ws) w.zero_grad();
       wide_branch_loss(ws, xs).backward();
-      parallel_tasks += Tape::current().last_plan().parallel_tasks;
     }
-    EXPECT_GT(parallel_tasks, 0)
-        << "stress never exercised a parallel level";
     Tape::current().arena().verify_guards();
   }
   const auto counts = sanitize::counts();
@@ -409,7 +347,7 @@ TEST(TapeSanitize, ParallelBackwardRunsCleanWithSanitizerArmed) {
 // ---- retire semantics ---------------------------------------------------
 
 TEST(TapeRetire, RetiredGraphSurvivorActsAsLeaf) {
-  const TapeEnv env(Executor::kGraph, 4);
+  const TapeEnv env(4);
   Tensor a = make_input({8}, 88);
   Tensor y = mul(a, a);
   sum(y).backward();
@@ -426,7 +364,7 @@ TEST(TapeRetire, RetiredGraphSurvivorActsAsLeaf) {
 }
 
 TEST(TapeRetire, BackwardFromLeafLeavesRecordedGraphLive) {
-  const TapeEnv env(Executor::kGraph, 1);
+  const TapeEnv env(1);
   Tensor a = make_input({16}, 89);
   Tensor loss = sum(mul(a, a));
   // A detached scalar backward must not retire the recorded graph.
@@ -444,8 +382,8 @@ TEST(TapeRetire, BackwardFromLeafLeavesRecordedGraphLive) {
 // ---- multi-root backward (Tensor::backward_multi) ------------------------
 
 /// Two scalar heads over a shared trunk: head1 = sum(relu(w*x)),
-/// head2 = sum((w*x)^2) — both consume the same intermediate, so the union
-/// graph exercises shared-parent chain edges between the heads' closures.
+/// head2 = sum((w*x)^2) — both consume the same intermediate, so both heads'
+/// closures accumulate into one shared parent gradient.
 void two_head_graph(Tensor& w, Tensor& x, Tensor& head1, Tensor& head2) {
   Tensor trunk = mul(w, x);
   head1 = sum(relu(trunk));
@@ -454,25 +392,23 @@ void two_head_graph(Tensor& w, Tensor& x, Tensor& head1, Tensor& head2) {
 
 TEST(TapeMultiRoot, TwoHeadGradsBitwiseIdenticalSeqVsGraph) {
   std::vector<std::vector<float>> runs;
-  for (const Executor exec : {Executor::kSeq, Executor::kGraph}) {
-    for (const int threads : {1, 4}) {
-      const TapeEnv env(exec, threads);
-      Tensor w = make_input({256}, 101, 0.5f);
-      Tensor x = make_input({256}, 102, 0.5f);
-      Tensor head1, head2;
-      two_head_graph(w, x, head1, head2);
-      Tensor::backward_multi({head1, head2});
-      std::vector<float> flat = w.grad().to_vector();
-      const auto gx = x.grad().to_vector();
-      flat.insert(flat.end(), gx.begin(), gx.end());
-      runs.push_back(std::move(flat));
-    }
+  for (const ExecConfig& cfg : kExecConfigs) {
+    const TapeEnv env(cfg.threads, cfg.pool);
+    Tensor w = make_input({256}, 101, 0.5f);
+    Tensor x = make_input({256}, 102, 0.5f);
+    Tensor head1, head2;
+    two_head_graph(w, x, head1, head2);
+    Tensor::backward_multi({head1, head2});
+    std::vector<float> flat = w.grad().to_vector();
+    const auto gx = x.grad().to_vector();
+    flat.insert(flat.end(), gx.begin(), gx.end());
+    runs.push_back(std::move(flat));
   }
   for (size_t i = 1; i < runs.size(); ++i) {
     ASSERT_EQ(runs[0].size(), runs[i].size());
     EXPECT_EQ(0, std::memcmp(runs[0].data(), runs[i].data(),
                              runs[0].size() * sizeof(float)))
-        << "config " << i << " diverged from seq/t1";
+        << "config " << i << " diverged from config 0";
   }
 }
 
@@ -480,7 +416,7 @@ TEST(TapeMultiRoot, MatchesBackwardOfExplicitSum) {
   // d(h1 + h2)/dθ computed by one multi-root pass must equal the gradient
   // of the literal sum node: the add's backward scatters the same seed the
   // multi-root path plants directly.
-  const TapeEnv env(Executor::kGraph, 4);
+  const TapeEnv env(4);
   Tensor w1 = make_input({64}, 103, 0.5f);
   Tensor x1 = make_input({64}, 104, 0.5f);
   Tensor h1a, h2a;
@@ -500,7 +436,7 @@ TEST(TapeMultiRoot, MatchesBackwardOfExplicitSum) {
 }
 
 TEST(TapeMultiRoot, DuplicateRootAccumulatesItsSeed) {
-  const TapeEnv env(Executor::kSeq, 1);
+  const TapeEnv env(1);
   Tensor a = make_input({32}, 105, 0.5f);
   Tensor loss = sum(mul(a, a));
   Tensor::backward_multi({loss, loss});
@@ -512,7 +448,7 @@ TEST(TapeMultiRoot, DuplicateRootAccumulatesItsSeed) {
 }
 
 TEST(TapeMultiRoot, LeafRootIsSeededWhileTapedRootPropagates) {
-  const TapeEnv env(Executor::kGraph, 1);
+  const TapeEnv env(1);
   Tensor a = make_input({16}, 107, 0.5f);
   Tensor leaf = Tensor::scalar(2.0f, /*requires_grad=*/true);
   Tensor loss = sum(mul(a, a));
@@ -527,7 +463,7 @@ TEST(TapeMultiRoot, InteriorRootReceivesSeedOnTopOfScatteredGradient) {
   // head2 depends on head1's subgraph THROUGH trunk, and head1 itself is a
   // root: an interior-ish mix. Use y = sum(x^2), roots {y, z} with
   // z = sum(relu(x)): gradient = 2x + relu'(x).
-  const TapeEnv env(Executor::kSeq, 1);
+  const TapeEnv env(1);
   Tensor x = make_input({64}, 109, 0.5f);
   Tensor y = sum(mul(x, x));
   Tensor z = sum(relu(x));
@@ -539,7 +475,7 @@ TEST(TapeMultiRoot, InteriorRootReceivesSeedOnTopOfScatteredGradient) {
 }
 
 TEST(TapeMultiRoot, UnionPlanCountsSharedSubgraphOnce) {
-  const TapeEnv env(Executor::kGraph, 1);
+  const TapeEnv env(1);
   Tensor w = make_input({64}, 111, 0.5f);
   Tensor x = make_input({64}, 112, 0.5f);
   Tensor head1, head2;
@@ -551,7 +487,7 @@ TEST(TapeMultiRoot, UnionPlanCountsSharedSubgraphOnce) {
 }
 
 TEST(TapeMultiRoot, PlanBookkeepingStaysZeroAllocAfterWarmup) {
-  const TapeEnv env(Executor::kGraph, 4);
+  const TapeEnv env(4);
   auto run = [&] {
     Tensor w = make_input({128}, 113, 0.5f);
     Tensor x = make_input({128}, 114, 0.5f);
