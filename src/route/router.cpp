@@ -1,11 +1,11 @@
 #include "route/router.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <queue>
 
 #include "common/check.h"
 #include "common/fault.h"
@@ -22,10 +22,90 @@ struct Connection {
   /// Pattern: 0 = HV (horizontal then vertical), 1 = VH, 2 = Z with
   /// horizontal split at mid-x, 3 = Z with vertical split at mid-y.
   std::int8_t choice = 0;
-  bool routed = false;
   /// Non-empty after a maze reroute: explicit direction sequence from
   /// (x0, y0); overrides the pattern choice.
   std::vector<std::uint8_t> maze_path;
+};
+
+/// One double per (wire class, direction, tile).
+using EdgeField =
+    std::array<std::array<std::vector<double>, fpga::kNumDirections>,
+               fpga::kNumWireClasses>;
+
+/// Indexed 4-ary min-heap on (f, node) for the A* open set, holding at most
+/// one entry per node. `push_or_lower` inserts a node or lowers its key in
+/// place. The slot table maps each node to its heap index, or -1 when it is
+/// absent; the caller resets it with `forget` over the nodes a search can
+/// reach before the search starts.
+class NodeHeap {
+ public:
+  struct Entry {
+    double f;
+    std::int64_t node;
+  };
+
+  void resize(size_t num_nodes) { slot_.resize(num_nodes); }
+  void forget(size_t begin, size_t end) {
+    std::fill(slot_.data() + begin, slot_.data() + end, -1);
+  }
+  void clear() { entries_.clear(); }
+  bool empty() const { return entries_.empty(); }
+
+  void push_or_lower(std::int64_t node, double f) {
+    const std::int32_t s = slot_[static_cast<size_t>(node)];
+    const size_t i = s < 0 ? entries_.size() : static_cast<size_t>(s);
+    if (s < 0) entries_.push_back({f, node});
+    MFA_DCHECK_LE(f, entries_[i].f) << " NodeHeap: a key may only fall";
+    sift_up(i, {f, node});
+  }
+
+  Entry pop() {
+    const Entry top = entries_.front();
+    slot_[static_cast<size_t>(top.node)] = -1;
+    const Entry last = entries_.back();
+    entries_.pop_back();
+    if (!entries_.empty()) sift_down(0, last);
+    return top;
+  }
+
+ private:
+  static constexpr size_t kArity = 4;
+
+  /// Lexicographic (f, node): a strict total order, so any min-heap on it
+  /// pops the same sequence.
+  static bool before(const Entry& a, const Entry& b) {
+    return a.f < b.f || (a.f == b.f && a.node < b.node);
+  }
+  void place(size_t i, const Entry& e) {
+    entries_[i] = e;
+    slot_[static_cast<size_t>(e.node)] = static_cast<std::int32_t>(i);
+  }
+  void sift_up(size_t i, const Entry& e) {
+    while (i > 0) {
+      const size_t parent = (i - 1) / kArity;
+      if (!before(e, entries_[parent])) break;
+      place(i, entries_[parent]);
+      i = parent;
+    }
+    place(i, e);
+  }
+  void sift_down(size_t i, const Entry& e) {
+    const size_t n = entries_.size();
+    for (;;) {
+      const size_t first = i * kArity + 1;
+      if (first >= n) break;
+      size_t best = first;
+      for (size_t c = first + 1; c < std::min(first + kArity, n); ++c)
+        if (before(entries_[c], entries_[best])) best = c;
+      if (!before(entries_[best], e)) break;
+      place(i, entries_[best]);
+      i = best;
+    }
+    place(i, e);
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<std::int32_t> slot_;
 };
 
 }  // namespace
@@ -37,12 +117,19 @@ struct GlobalRouter::Impl {
   fpga::InterconnectTileGrid tiles;
   CongestionGrid grid;
   // History costs per (class, direction, tile) for negotiation.
-  std::array<std::array<std::vector<double>, fpga::kNumDirections>,
-             fpga::kNumWireClasses>
-      history;
+  EdgeField history;
+  // fresh_cost() of every edge, cached: reprice() refills it whenever the
+  // pressure or the history changes, and apply() patches each edge whose
+  // demand it moves.
+  EdgeField cost;
   std::vector<Connection> connections;
   double pressure = 1.0;  // escalates during negotiation (PathFinder-style)
   bool budget_exhausted = false;
+  // A* state reused by every search, reset over the search box when a
+  // search starts: g-cost, the direction taken into each tile, open set.
+  std::vector<double> dist;
+  std::vector<std::int8_t> from;
+  NodeHeap open;
 
   Impl(const netlist::Design& d, const fpga::DeviceGrid& dev,
        const RouterOptions& opt)
@@ -57,21 +144,60 @@ struct GlobalRouter::Impl {
         << opt.grid_height;
     MFA_CHECK(opt.short_capacity > 0 && opt.global_capacity > 0)
         << " router capacities must be positive";
+    MFA_CHECK_LE(tiles.num_tiles(), std::numeric_limits<std::int32_t>::max())
+        << " router grid too large for the search heap's slot table";
     const auto n = static_cast<size_t>(tiles.num_tiles());
-    for (auto& per_class : history)
-      for (auto& per_dir : per_class) per_dir.assign(n, 0.0);
+    for (auto* field : {&history, &cost})
+      for (auto& per_class : *field)
+        for (auto& per_dir : per_class) per_dir.assign(n, 0.0);
+    reprice(1.0);
+    dist.resize(n);
+    from.resize(n);
+    open.resize(n);
   }
 
-  double edge_cost(WireClass wc, Direction d, std::int64_t gx,
-                   std::int64_t gy) const {
-    MFA_DCHECK_BOUNDS(gx, tiles.width()) << " edge_cost tile x";
-    MFA_DCHECK_BOUNDS(gy, tiles.height()) << " edge_cost tile y";
+  /// The negotiated cost of one edge: 1, plus the overflow penalty scaled by
+  /// the pressure, plus the history. The one place this expression lives.
+  double fresh_cost(WireClass wc, Direction d, std::int64_t gx,
+                    std::int64_t gy) const {
     const double cap = static_cast<double>(tiles.capacity(wc));
     const double demand = grid.demand(wc, d, gx, gy);
     const double over = std::max(0.0, (demand + 1.0) - cap) / cap;
     return 1.0 + pressure * options.overflow_penalty * over +
            history[static_cast<size_t>(wc)][static_cast<size_t>(d)]
                   [static_cast<size_t>(tiles.tile_index(gx, gy))];
+  }
+
+  double& cached_cost(WireClass wc, Direction d, std::int64_t gx,
+                      std::int64_t gy) {
+    return cost[static_cast<size_t>(wc)][static_cast<size_t>(d)]
+               [static_cast<size_t>(tiles.tile_index(gx, gy))];
+  }
+
+  double edge_cost(WireClass wc, Direction d, std::int64_t gx,
+                   std::int64_t gy) const {
+    MFA_DCHECK_BOUNDS(gx, tiles.width()) << " edge_cost tile x";
+    MFA_DCHECK_BOUNDS(gy, tiles.height()) << " edge_cost tile y";
+    const double c = cost[static_cast<size_t>(wc)][static_cast<size_t>(d)]
+                         [static_cast<size_t>(tiles.tile_index(gx, gy))];
+    MFA_DCHECK(std::bit_cast<std::uint64_t>(c) ==
+               std::bit_cast<std::uint64_t>(fresh_cost(wc, d, gx, gy)))
+        << " edge_cost: cached " << c << " is stale at (" << gx << ", " << gy
+        << ")";
+    return c;
+  }
+
+  /// Sets the negotiation pressure and recomputes every cached edge cost.
+  /// Called whenever the pressure or the history changes.
+  void reprice(double new_pressure) {
+    pressure = new_pressure;
+    for (size_t w = 0; w < fpga::kNumWireClasses; ++w)
+      for (size_t d = 0; d < fpga::kNumDirections; ++d)
+        for (std::int64_t gy = 0; gy < tiles.height(); ++gy)
+          for (std::int64_t gx = 0; gx < tiles.width(); ++gx)
+            cached_cost(static_cast<WireClass>(w), static_cast<Direction>(d),
+                        gx, gy) = fresh_cost(static_cast<WireClass>(w),
+                                             static_cast<Direction>(d), gx, gy);
   }
 
   /// Walks the edges of `conn` under pattern `choice`, calling
@@ -153,9 +279,12 @@ struct GlobalRouter::Impl {
     return cost;
   }
 
+  /// Adds (sign +1) or removes (-1) the connection's demand along its
+  /// current route and reprices the edges it crosses.
   void apply(const Connection& conn, double sign) {
     walk_current(conn, [&](std::int64_t gx, std::int64_t gy, Direction d) {
       grid.add_demand(conn.wc, d, gx, gy, sign);
+      cached_cost(conn.wc, d, gx, gy) = fresh_cost(conn.wc, d, gx, gy);
     });
   }
 
@@ -175,7 +304,6 @@ struct GlobalRouter::Impl {
     }
     conn.choice = best;
     apply(conn, +1.0);
-    conn.routed = true;
   }
 
   bool crosses_overused(const Connection& conn) const {
@@ -188,8 +316,9 @@ struct GlobalRouter::Impl {
 
   /// A* maze route under the congestion-aware edge cost (the PathFinder
   /// reroute): finds the globally cheapest detour instead of picking among
-  /// fixed patterns. Fills conn.maze_path and applies demand.
-  void maze_route(Connection& conn) {
+  /// fixed patterns. Fills conn.maze_path, applies demand and returns the
+  /// number of nodes expanded.
+  std::int64_t maze_route(Connection& conn) {
     const std::int64_t gw = tiles.width();
     const std::int64_t gh = tiles.height();
     // Restrict the search to the connection bounding box plus a detour
@@ -199,12 +328,18 @@ struct GlobalRouter::Impl {
     const std::int64_t bx1 = std::min<std::int64_t>(gw - 1, std::max(conn.x0, conn.x1) + kMargin);
     const std::int64_t by0 = std::max<std::int64_t>(0, std::min(conn.y0, conn.y1) - kMargin);
     const std::int64_t by1 = std::min<std::int64_t>(gh - 1, std::max(conn.y0, conn.y1) + kMargin);
-    const auto n = static_cast<size_t>(gw * gh);
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<double> dist(n, kInf);
-    std::vector<std::int8_t> from(n, -1);  // direction taken INTO the node
-    using Item = std::pair<double, std::int64_t>;  // (f = g + h, node)
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> open;
+    // The search reads and writes only tiles inside the box. Resetting them
+    // here, not after the search, keeps a search that threw part-way from
+    // leaking into this one.
+    open.clear();
+    for (std::int64_t y = by0; y <= by1; ++y) {
+      const auto lo = static_cast<size_t>(y * gw + bx0);
+      const auto hi = static_cast<size_t>(y * gw + bx1 + 1);
+      std::fill(dist.data() + lo, dist.data() + hi, kInf);
+      std::fill(from.data() + lo, from.data() + hi, std::int8_t{-1});
+      open.forget(lo, hi);
+    }
     const auto node = [gw](std::int64_t x, std::int64_t y) {
       return y * gw + x;
     };
@@ -215,14 +350,15 @@ struct GlobalRouter::Impl {
     const std::int64_t start = node(conn.x0, conn.y0);
     const std::int64_t goal = node(conn.x1, conn.y1);
     dist[static_cast<size_t>(start)] = 0.0;
-    open.emplace(heuristic(conn.x0, conn.y0), start);
+    open.push_or_lower(start, heuristic(conn.x0, conn.y0));
+    std::int64_t expanded = 0;
     while (!open.empty()) {
-      const auto [f, u] = open.top();
-      open.pop();
+      const auto [f, u] = open.pop();
       if (u == goal) break;
       const std::int64_t ux = u % gw, uy = u / gw;
       if (f - heuristic(ux, uy) > dist[static_cast<size_t>(u)] + 1e-12)
         continue;  // stale entry
+      ++expanded;
       struct Step {
         Direction d;
         std::int64_t dx, dy;
@@ -240,7 +376,8 @@ struct GlobalRouter::Impl {
             dist[static_cast<size_t>(v)] - 1e-12) {
           dist[static_cast<size_t>(v)] = dist[static_cast<size_t>(u)] + w;
           from[static_cast<size_t>(v)] = static_cast<std::int8_t>(step.d);
-          open.emplace(dist[static_cast<size_t>(v)] + heuristic(vx, vy), v);
+          open.push_or_lower(v, dist[static_cast<size_t>(v)] +
+                                    heuristic(vx, vy));
         }
       }
     }
@@ -277,7 +414,7 @@ struct GlobalRouter::Impl {
     }
     std::reverse(conn.maze_path.begin(), conn.maze_path.end());
     apply(conn, +1.0);
-    conn.routed = true;
+    return expanded;
   }
 
   void bump_history() {
@@ -313,6 +450,7 @@ void GlobalRouter::initial_route(const std::vector<double>& cell_x,
   for (auto& per_class : im.history)
     for (auto& per_dir : per_class)
       std::fill(per_dir.begin(), per_dir.end(), 0.0);
+  im.reprice(1.0);
   im.connections.clear();
 
   // Net decomposition: Prim MST over pin tiles (nets are small).
@@ -389,9 +527,10 @@ std::int64_t GlobalRouter::detailed_route() {
   static obs::Counter obs_rounds = obs::counter("router.negotiation_rounds");
   static obs::Counter obs_ripups = obs::counter("router.ripups");
   static obs::Counter obs_maze = obs::counter("router.maze_reroutes");
+  static obs::Counter obs_expansions = obs::counter("router.maze_expansions");
   static obs::Histogram obs_overused = obs::histogram("router.overused");
   auto& im = *impl_;
-  im.pressure = 1.0;
+  im.reprice(1.0);
   im.budget_exhausted = false;
   const auto t0 = Clock::now();
   const auto budget_spent = [&] {
@@ -434,7 +573,7 @@ std::int64_t GlobalRouter::detailed_route() {
     ++iterations;
     obs_rounds.add();
     im.bump_history();
-    im.pressure *= 1.4;  // PathFinder-style escalation
+    im.reprice(im.pressure * 1.4);  // PathFinder-style escalation
     // Early iterations retry the cheap pattern candidates; once history has
     // built up, overused connections fall back to A* maze rerouting
     // (the PathFinder negotiation step).
@@ -446,7 +585,7 @@ std::int64_t GlobalRouter::detailed_route() {
       im.apply(conn, -1.0);
       ++ripups;
       if (use_maze) {
-        im.maze_route(conn);
+        obs_expansions.add(im.maze_route(conn));
         ++mazed;
       } else {
         im.route_connection(conn);
@@ -491,7 +630,6 @@ RouterOptions calibrated_router_options(const fpga::DeviceGrid& device,
       1, static_cast<std::int64_t>(std::lround(24.0 * scale)));
   options.global_capacity = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::lround(20.0 * scale)));
-  (void)grid_height;
   return options;
 }
 

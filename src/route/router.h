@@ -59,7 +59,9 @@ class GlobalRouter {
   GlobalRouter& operator=(const GlobalRouter&) = delete;
 
   /// Builds two-pin connections from cell coordinates and routes each one
-  /// congestion-aware (the "initial router"). Resets previous state.
+  /// congestion-aware (the "initial router"). Resets previous state: demand,
+  /// history and the negotiation pressure, so a reused router routes exactly
+  /// as a fresh one.
   void initial_route(const std::vector<double>& cell_x,
                      const std::vector<double>& cell_y);
 

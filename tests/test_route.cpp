@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/fault.h"
+#include "common/metrics.h"
 #include "netlist/generator.h"
 #include "place/placer.h"
 #include "route/router.h"
@@ -34,6 +36,45 @@ void random_positions(const Design& design, const DeviceGrid& device,
   cy.resize(static_cast<size_t>(design.num_cells()));
   for (auto& v : cx) v = rng.uniform(0.0, static_cast<double>(device.cols()));
   for (auto& v : cy) v = rng.uniform(0.0, static_cast<double>(device.rows()));
+}
+
+/// Clumps `random_positions` into a corner so negotiation reaches the maze
+/// rounds (as the hopeless-placement tests below do, less tightly).
+void clumped_positions(const Design& design, const DeviceGrid& device,
+                       std::vector<double>& cx, std::vector<double>& cy) {
+  Rng rng(3);
+  random_positions(design, device, rng, cx, cy);
+  for (auto& v : cx) v = 5.0 + 0.5 * v;
+  for (auto& v : cy) v = 5.0 + 0.5 * v;
+}
+
+/// The eight raw demand fields (class-major, then direction, then tiles in
+/// row-major order), copied out as doubles.
+std::vector<double> demand_fields(const CongestionGrid& grid) {
+  std::vector<double> out;
+  for (size_t w = 0; w < fpga::kNumWireClasses; ++w)
+    for (size_t d = 0; d < fpga::kNumDirections; ++d)
+      for (std::int64_t gy = 0; gy < grid.height(); ++gy)
+        for (std::int64_t gx = 0; gx < grid.width(); ++gx)
+          out.push_back(grid.demand(static_cast<WireClass>(w),
+                                    static_cast<Direction>(d), gx, gy));
+  return out;
+}
+
+// FNV-1a over the demand fields' bits and an iteration count.
+std::uint64_t demand_hash(const CongestionGrid& grid, std::int64_t iterations) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto fields = demand_fields(grid);
+  mix(fields.data(), fields.size() * sizeof(double));
+  mix(&iterations, sizeof(iterations));
+  return h;
 }
 
 TEST(CongestionGrid, DemandAccumulates) {
@@ -241,6 +282,63 @@ TEST(Router, BudgetFaultStopsNegotiationDeterministically) {
   // A fresh initial_route clears the flag for the next attempt.
   router.initial_route(cx, cy);
   EXPECT_FALSE(router.budget_exhausted());
+}
+
+// The router's output must not change a bit: pins the demand grid after
+// initial_route, and after detailed_route together with its iteration
+// count, on a clumped placement whose negotiation reaches the A* maze
+// rounds. The constants were captured from the router before its edge costs
+// were cached and its search heap became indexed.
+TEST(Router, BitIdenticalToPinnedHash) {
+  const auto device = test_device();
+  const auto design = tiny_design(device, 0.1);
+  RouterOptions options;
+  options.max_detailed_iterations = 6;
+  GlobalRouter router(design, device, options);
+  std::vector<double> cx, cy;
+  clumped_positions(design, device, cx, cy);
+  router.initial_route(cx, cy);
+  EXPECT_EQ(demand_hash(router.congestion(), 0), 0x84c832c0724473bdULL)
+      << "initial_route: hash 0x" << std::hex
+      << demand_hash(router.congestion(), 0);
+  const obs::Counter maze = obs::counter("router.maze_reroutes");
+  const auto maze_before = maze.value();
+  const auto iterations = router.detailed_route();
+  if (obs::enabled()) {
+    EXPECT_GT(maze.value(), maze_before);
+  }
+  EXPECT_EQ(iterations, 6);
+  EXPECT_EQ(demand_hash(router.congestion(), iterations),
+            0xa7f8ee6f861d77e2ULL)
+      << "detailed_route: " << iterations << " iterations, hash 0x"
+      << std::hex << demand_hash(router.congestion(), iterations);
+}
+
+// initial_route resets all previous state, the negotiation pressure a
+// previous detailed_route escalated included: a reused router must route
+// exactly as a fresh one does.
+TEST(Router, ReusedRouterMatchesFreshRouter) {
+  const auto device = test_device();
+  const auto design = tiny_design(device, 0.1);
+  RouterOptions options;
+  options.max_detailed_iterations = 6;
+  std::vector<double> cx, cy;
+  clumped_positions(design, device, cx, cy);
+  GlobalRouter reused(design, device, options);
+  reused.initial_route(cx, cy);
+  reused.detailed_route();
+  reused.initial_route(cx, cy);
+  GlobalRouter fresh(design, device, options);
+  fresh.initial_route(cx, cy);
+  const auto same_demand = [&] {
+    const auto a = demand_fields(reused.congestion());
+    const auto b = demand_fields(fresh.congestion());
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same_demand()) << "after initial_route";
+  EXPECT_EQ(reused.detailed_route(), fresh.detailed_route());
+  EXPECT_TRUE(same_demand()) << "after detailed_route";
 }
 
 TEST(Router, PeakUtilisationHigherWhenClumped) {
