@@ -140,7 +140,7 @@ void BM_BackwardOnly(benchmark::State& state) {
   };
   {
     Tensor l = forward();
-    l.backward();  // warm-up: free lists, arena rings, plan vectors
+    l.backward();  // warm-up: pool free lists and plan vectors
   }
   auto& tape = tensor::Tape::current();
   const std::int64_t grow0 = tape.plan_grow_events();

@@ -9,7 +9,6 @@
 #include "models/pros2.h"
 #include "models/unet.h"
 #include "tensor/ops.h"
-#include "tensor/tape.h"
 
 namespace mfa::models {
 
@@ -21,11 +20,6 @@ Tensor CongestionModel::predict_levels(const Tensor& features) {
   Tensor levels;
   {
     NoGradGuard guard;
-    // One inference step for the tape arena: every op intermediate of this
-    // forward recycles through the per-thread arena rings (nothing records
-    // under NoGrad, so the scope is what keys arena service). `levels` below
-    // is a plain pooled leaf and safely outlives the scope.
-    tensor::ArenaScope arena_scope;
     Tensor logits = forward(features);  // [N, K, H, W]
     const std::int64_t N = logits.size(0);
     const std::int64_t H = logits.size(2);

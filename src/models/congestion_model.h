@@ -20,10 +20,10 @@ class CongestionModel {
 
   /// Auxiliary training loss produced by the last forward(), if any (LHNN's
   /// net-level head). Move-out semantics: returns the stored scalar and
-  /// clears it, so the caller owns the only reference and the tape arena is
-  /// not pinned across steps. Default: none (undefined tensor). The trainer
-  /// runs Tensor::backward_multi({loss, aux}) when this returns a defined
-  /// tensor.
+  /// clears it, so the caller owns the only reference and the model does not
+  /// keep the last step's graph alive. Default: none (undefined tensor). The
+  /// trainer runs Tensor::backward_multi({loss, aux}) when this returns a
+  /// defined tensor.
   virtual Tensor take_auxiliary_loss() { return Tensor(); }
 
   const ModelConfig& config() const { return config_; }

@@ -76,8 +76,7 @@ Tensor sum_dim(const Tensor& a, std::int64_t dim, bool keepdim) {
               ga[(r * sp.d + j) * sp.inner + k] += go[r * sp.inner + k];
       });
   const float* av = a.data();
-  float* ov = out.data();
-  std::fill(ov, ov + out.numel(), 0.0f);
+  float* ov = out.data();  // make_result zero-filled it
   for (std::int64_t r = 0; r < sp.outer; ++r)
     for (std::int64_t j = 0; j < sp.d; ++j)
       for (std::int64_t k = 0; k < sp.inner; ++k)

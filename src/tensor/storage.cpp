@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -563,15 +564,6 @@ bool Storage::shared() const {
   return block_ && block_->refs.load(std::memory_order_relaxed) > 1;
 }
 
-Storage Storage::share_prefix(std::int64_t n) const {
-  MFA_CHECK(n >= 0 && n <= size_)
-      << " share_prefix(" << n << ") out of range on a " << size_
-      << "-float storage";
-  Storage s(*this);  // shares the block, bumps the refcount
-  s.size_ = n;
-  return s;
-}
-
 void Storage::acquire_new(std::int64_t n) {
   Block* fresh = StoragePool::instance().acquire(n);
   reset();
@@ -591,12 +583,19 @@ Storage Storage::full(std::int64_t n, float value) {
 
 void Storage::assign(std::int64_t n, float value) {
   if (n != size_ || shared()) acquire_new(n);
-  if (size_ > 0) std::fill(data_, data_ + size_, value);
+  fill(value);
 }
 
 void Storage::fill(float value) {
   check_alive();
-  if (size_ > 0) std::fill(data_, data_ + size_, value);
+  if (size_ == 0) return;
+  // gcc -O2 compiles std::fill of a float to a 4-byte store loop; memset is
+  // about twice as fast on the zero-fills every op output and gradient
+  // takes. Only the all-zero bit pattern qualifies, so -0.0f keeps its sign.
+  if (std::bit_cast<std::uint32_t>(value) == 0)
+    std::memset(data_, 0, static_cast<std::size_t>(size_) * sizeof(float));
+  else
+    std::fill(data_, data_ + size_, value);
 }
 
 void Storage::copy_from(const Storage& src) {

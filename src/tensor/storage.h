@@ -75,6 +75,8 @@ class Storage {
   /// Deep copy (resizes to match src).
   void copy_from(const Storage& src);
   void copy_from(const float* src, std::int64_t n);
+  /// Sets every element to `value`. The one float fill behind assign() and
+  /// full(): +0.0f is a memset, any other value (-0.0f included) std::fill.
   void fill(float value);
   std::vector<float> to_vector() const;
   /// Drops this handle's reference; the block returns to the pool once the
@@ -108,12 +110,6 @@ class Storage {
 
   /// True when other handles reference the same block.
   bool shared() const;
-
-  /// Handle sharing this handle's block (refcount bump, no copy) but exposing
-  /// only the first n floats (n <= size()). The tape arena hands out
-  /// bucket-capacity blocks through prefix handles so one parked entry serves
-  /// any op whose output fits the bucket.
-  Storage share_prefix(std::int64_t n) const;
 
   /// On-demand sanitizer check (no-op when mfa::sanitize is off): verifies
   /// this handle is still backed by the block generation it acquired, and

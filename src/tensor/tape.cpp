@@ -23,16 +23,12 @@ namespace {
 struct GlobalStats {
   std::atomic<std::int64_t> nodes_recorded{0};
   std::atomic<std::int64_t> backwards{0};
-  std::atomic<std::int64_t> arena_hits{0};
-  std::atomic<std::int64_t> arena_misses{0};
 
   GlobalStats() {
     obs::Registry::instance().register_source("tape", [this] {
       return std::vector<std::pair<std::string, double>>{
           {"nodes_recorded", static_cast<double>(nodes_recorded.load())},
           {"backwards", static_cast<double>(backwards.load())},
-          {"arena_hits", static_cast<double>(arena_hits.load())},
-          {"arena_misses", static_cast<double>(arena_misses.load())},
       };
     });
   }
@@ -43,118 +39,7 @@ GlobalStats& gstats() {
   return *s;
 }
 
-int bucket_index_for(std::int64_t n) {
-  // Smallest power-of-two bucket holding n floats, as an index into the
-  // arena's ring array; -1 when the request belongs to the pool (oversize).
-  int p = 5;  // kMinBucket
-  while ((std::int64_t{1} << p) < n) {
-    ++p;
-    if (p > 26) return -1;  // kMaxBucket
-  }
-  return p - 5;
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// TapeArena
-
-bool TapeArena::try_acquire(std::int64_t n, Storage& out) {
-  const int b = bucket_index_for(n);
-  if (b < 0) return false;
-  Ring& r = rings_[b];
-  const std::size_t sz = r.entries.size();
-  for (std::size_t k = 0; k < sz; ++k) {
-    std::size_t j = r.cursor + k;
-    if (j >= sz) j -= sz;
-    Storage& e = r.entries[j];
-    // The arena holds exactly one reference to a parked entry; any extra
-    // reference is an outstanding tensor handle (possibly escaped from a
-    // previous step), which pins the entry until it drops. The refcount is
-    // atomic, so a handle released concurrently on another thread is at
-    // worst missed this probe — never handed out twice.
-    if (e.shared()) continue;
-    r.cursor = static_cast<std::uint32_t>(j + 1 == sz ? 0 : j + 1);
-    if (r.touched_stamp[j] != r.step_token) {
-      r.touched_stamp[j] = r.step_token;
-      ++r.used_this_step;
-    }
-    out = e.share_prefix(n);
-    std::fill(out.begin(), out.end(), 0.0f);
-    gstats().arena_hits.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  if (sz >= kMaxEntries) return false;
-  // Grow the ring: one pooled bucket-capacity block, zero-filled (so the
-  // prefix handout below needs no extra fill). This is the warm-up path; a
-  // steady-state step reuses parked entries and never reaches here.
-  const std::int64_t cap = std::int64_t{1} << (kMinBucket + b);
-  r.entries.push_back(Storage::full(cap, 0.0f));
-  r.touched_stamp.push_back(r.step_token);
-  ++r.used_this_step;
-  out = r.entries.back().share_prefix(n);
-  gstats().arena_misses.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void TapeArena::end_step() {
-  for (Ring& r : rings_) {
-    if (r.entries.empty() && r.used_prev_step == 0) continue;
-    // Keep the high-water mark of the last two steps; give back the rest
-    // (pinned tail entries stay until their escaped handles drop).
-    const std::uint32_t keep = std::max(r.used_this_step, r.used_prev_step);
-    while (r.entries.size() > keep && !r.entries.back().shared()) {
-      r.entries.pop_back();
-      r.touched_stamp.pop_back();
-    }
-    r.used_prev_step = r.used_this_step;
-    r.used_this_step = 0;
-    r.cursor = 0;
-    if (++r.step_token == 0) {
-      std::fill(r.touched_stamp.begin(), r.touched_stamp.end(), 0u);
-      r.step_token = 1;
-    }
-  }
-}
-
-void TapeArena::clear() {
-  for (Ring& r : rings_) {
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < r.entries.size(); ++i) {
-      if (!r.entries[i].shared()) continue;  // pinned: must stay referenced
-      if (w != i) {
-        r.entries[w] = std::move(r.entries[i]);
-        r.touched_stamp[w] = r.touched_stamp[i];
-      }
-      ++w;
-    }
-    r.entries.resize(w);
-    r.touched_stamp.resize(w);
-    r.cursor = 0;
-    r.used_this_step = 0;
-    r.used_prev_step = 0;
-  }
-}
-
-std::int64_t TapeArena::held_floats() const {
-  std::int64_t total = 0;
-  for (const Ring& r : rings_)
-    for (const Storage& e : r.entries)
-      total += static_cast<std::int64_t>(e.size());
-  return total;
-}
-
-std::int64_t TapeArena::entries() const {
-  std::int64_t total = 0;
-  for (const Ring& r : rings_)
-    total += static_cast<std::int64_t>(r.entries.size());
-  return total;
-}
-
-void TapeArena::verify_guards() const {
-  for (const Ring& r : rings_)
-    for (const Storage& e : r.entries) e.verify_guards();
-}
 
 // ---------------------------------------------------------------------------
 // Tape — recording
@@ -188,24 +73,6 @@ std::int32_t Tape::record(const char* op_name,
                         static_cast<std::uint32_t>(parents_.size())});
   gstats().nodes_recorded.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-Storage Tape::intermediate_storage(std::int64_t n, bool recording) {
-  if (n > 0 && (recording || arena_scope_depth_ > 0) &&
-      StoragePool::instance().enabled()) {
-    Storage s;
-    if (arena_.try_acquire(n, s)) return s;
-  }
-  Storage s;
-  s.assign(n, 0.0f);
-  return s;
-}
-
-void Tape::begin_arena_scope() { ++arena_scope_depth_; }
-
-void Tape::end_arena_scope() {
-  MFA_CHECK_GT(arena_scope_depth_, 0) << " unbalanced ArenaScope";
-  if (--arena_scope_depth_ == 0 && !executing_) arena_.end_step();
 }
 
 // ---------------------------------------------------------------------------
@@ -341,7 +208,6 @@ void Tape::retire() {
   nodes_.clear();
   parents_.clear();
   ++epoch_;
-  arena_.end_step();
 }
 
 void Tape::execute_backward(

@@ -1,4 +1,4 @@
-// mfa::tensor::Tape — explicit autograd tape with a per-tape storage arena.
+// mfa::tensor::Tape — explicit per-thread autograd tape.
 //
 // Before this layer existed, every op that produced a grad-requiring output
 // linked a std::shared_ptr<TensorImpl> web: each node owned its backward
@@ -8,12 +8,11 @@
 //
 //  * Representation. make_result records into the calling thread's Tape: a
 //    flat std::vector of plain nodes (op name, backward thunk, parent index
-//    range into one shared parent array) instead of a pointer web. The
-//    node's output tensor draws its buffer from the tape's arena (below);
-//    leaves and parameters stay on StoragePool. backward() retires the WHOLE
-//    tape when it completes (success or exception): closures are dropped,
-//    node slots recycle, and the arena's buffers become reusable in one bulk
-//    step instead of one refcount chain collapse per node.
+//    range into one shared parent array) instead of a pointer web. Every
+//    buffer, intermediate or leaf, comes from StoragePool. backward() retires
+//    the WHOLE tape when it completes (success or exception): closures are
+//    dropped and node slots recycle in one bulk step instead of one refcount
+//    chain collapse per node.
 //
 //  * Execution. backward() plans a reverse-topological order over the
 //    recorded graph (one iterative DFS into reused, epoch-stamped scratch, so
@@ -23,17 +22,6 @@
 //    fixed execution order, so the result is bit-identical for any
 //    MFA_THREADS — pinned by the golden hash. Each node's gradient buffer is
 //    released as soon as the walk passes it.
-//
-// The arena (TapeArena) is a per-thread recycling ring per size bucket:
-// acquire scans for an entry whose block the arena is the sole owner of
-// (refcount 1), zero-fills the requested prefix and hands out a sharing
-// handle; release is the tensor handle's ordinary refcount drop — no pool
-// mutex, no thread-cache traffic, no stats atomics on the per-op hot path.
-// At step end (backward() retire, or ArenaScope exit on inference paths) the
-// cursors reset and the ring trims to the high-water mark of the last two
-// steps, so a shrinking workload gives memory back. MFA_POOL=off disables
-// the arena entirely: every acquisition is a raw heap allocation again and
-// ASan sees full poisoning.
 //
 // With finite-grad scanning on (check::finite_grad_checks_enabled(), seeded
 // from MFA_CHECK_FINITE_GRADS), the walk scans each gradient once, when it
@@ -50,7 +38,6 @@
 #include <memory>
 #include <vector>
 
-#include "tensor/storage.h"
 #include "tensor/tensor.h"
 
 namespace mfa::tensor {
@@ -62,55 +49,6 @@ struct TapePlanStats {
   // perfbench's train workload still exports it as
   // tensor.backward_parallel_tasks.
   std::int64_t parallel_tasks = 0;
-};
-
-/// Per-thread bucketed recycling ring for intermediate tensor buffers.
-/// Entries are Storage handles the arena keeps referenced; an entry is free
-/// exactly when the arena holds the only reference. See the file comment.
-class TapeArena {
- public:
-  /// Zero-fills and hands out a buffer of n floats sharing an arena block.
-  /// Returns false (out untouched) when the arena cannot serve the request:
-  /// pool disabled, n outside the bucket range, or the ring at its cap.
-  bool try_acquire(std::int64_t n, Storage& out);
-
-  /// Step boundary: resets the scan cursors and trims each ring to the
-  /// high-water mark of the last two steps (unpinned tail entries only).
-  void end_step();
-
-  /// Drops every unpinned entry regardless of high-water (tests / teardown).
-  void clear();
-
-  /// Floats currently held across all rings (pinned or free).
-  std::int64_t held_floats() const;
-  /// Entries currently held across all rings.
-  std::int64_t entries() const;
-
-  /// mfa::sanitize sweep over every held entry (no-op when the checker is
-  /// off). Arena blocks never pass through the pool's release/reacquire
-  /// checks while held, so tests sweep them explicitly.
-  void verify_guards() const;
-
- private:
-  // Buckets mirror StoragePool's power-of-two sizing over the range the
-  // model's intermediates actually occupy; larger requests fall through to
-  // the pool. kMaxEntries bounds one ring so a pathological workload cannot
-  // scan (or pin) an unbounded entry list.
-  static constexpr int kMinBucket = 5;    // 32 floats
-  static constexpr int kMaxBucket = 26;   // 64 Mi floats (256 MiB)
-  static constexpr int kNumBuckets = kMaxBucket - kMinBucket + 1;
-  static constexpr std::uint32_t kMaxEntries = 256;
-
-  struct Ring {
-    std::vector<Storage> entries;
-    std::vector<std::uint32_t> touched_stamp;  // last step an entry served
-    std::uint32_t cursor = 0;        // next probe start (ring position)
-    std::uint32_t used_this_step = 0;
-    std::uint32_t used_prev_step = 0;
-    std::uint32_t step_token = 1;
-  };
-
-  Ring rings_[kNumBuckets];
 };
 
 /// The per-thread autograd tape. Ops record through Tensor::make_result;
@@ -163,18 +101,6 @@ class Tape {
   /// one fixed order and the result is bit-identical for any MFA_THREADS.
   void execute_backward(
       const std::vector<std::shared_ptr<mfa::detail::TensorImpl>>& roots);
-
-  // ---- arena ----
-
-  /// Buffer for an op output: zero-filled, from the arena when it may serve
-  /// (recording, or inside an ArenaScope; pool enabled), otherwise a plain
-  /// pooled/heap buffer — bit-identical either way.
-  Storage intermediate_storage(std::int64_t n, bool recording);
-
-  void begin_arena_scope();
-  void end_arena_scope();
-
-  TapeArena& arena() { return arena_; }
 
   // ---- diagnostics ----
 
@@ -238,26 +164,7 @@ class Tape {
   std::vector<mfa::detail::TensorImpl*> leaves_;  // scan-mode leaf list
   std::int64_t plan_grow_events_ = 0;
 
-  TapeArena arena_;
-  int arena_scope_depth_ = 0;
-
   TapePlanStats last_plan_;
-};
-
-/// RAII inference-step scope: while active, make_result outputs on this
-/// thread draw from the tape arena even when nothing records (NoGrad
-/// forward); on exit of the outermost scope the arena ends its step.
-/// predict_levels() brackets each call so flow and serve recycle per-request
-/// intermediates through the arena exactly like a training step does.
-class ArenaScope {
- public:
-  ArenaScope() : tape_(Tape::current()) { tape_.begin_arena_scope(); }
-  ~ArenaScope() { tape_.end_arena_scope(); }
-  ArenaScope(const ArenaScope&) = delete;
-  ArenaScope& operator=(const ArenaScope&) = delete;
-
- private:
-  Tape& tape_;
 };
 
 }  // namespace mfa::tensor

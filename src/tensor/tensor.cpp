@@ -1,6 +1,5 @@
 #include "tensor/tensor.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -165,7 +164,7 @@ Tensor Tensor::grad() const {
 
 void Tensor::zero_grad() {
   if (!impl_) return;
-  std::fill(impl_->grad.begin(), impl_->grad.end(), 0.0f);
+  impl_->grad.fill(0.0f);
 }
 
 void Tensor::backward() {
@@ -219,7 +218,7 @@ void Tensor::mul_(float s) {
 
 void Tensor::fill_(float v) {
   MFA_CHECK(impl_) << " fill_() on undefined tensor";
-  std::fill(impl_->data.begin(), impl_->data.end(), v);
+  impl_->data.fill(v);
 }
 
 void Tensor::copy_from(const Tensor& src) {
@@ -229,19 +228,16 @@ void Tensor::copy_from(const Tensor& src) {
 
 Tensor Tensor::make_result(Shape shape, std::vector<Tensor> inputs,
                            std::function<void(detail::TensorImpl&)> backward) {
-  auto& tape = tensor::Tape::current();
   bool needs = false;
   if (GradMode::enabled() && backward)
     for (const auto& in : inputs) needs = needs || in.requires_grad();
   auto impl = std::make_shared<detail::TensorImpl>();
   const auto n = shape_numel(shape);
   impl->shape = std::move(shape);
-  // Op outputs draw from the tape arena when it may serve (recording, or an
-  // inference ArenaScope is active); leaves and parameters built through the
-  // plain factories stay on StoragePool.
-  impl->data = tape.intermediate_storage(n, needs);
+  impl->data.assign(n, 0.0f);
   Tensor out(std::move(impl));
   if (!needs) return out;
+  auto& tape = tensor::Tape::current();
   out.impl_->requires_grad = true;
   out.impl_->tape_id = tape.record(sanitize::current_op(), out.impl_, inputs,
                                    std::move(backward));

@@ -14,10 +14,10 @@
 //    bulk step. As each non-leaf node retires, its gradient buffer is
 //    released back to the storage pool (leaves keep theirs for the
 //    optimizer).
-//  * All buffers are tensor::Storage handles drawn from the recycling
-//    StoragePool (see tensor/storage.h); op intermediates additionally
-//    recycle through the tape's arena. Steady-state training and inference
-//    loops stop allocating after a warm-up iteration.
+//  * All buffers, op intermediates included, are tensor::Storage handles
+//    drawn from the recycling StoragePool (see tensor/storage.h).
+//    Steady-state training and inference loops stop allocating after a
+//    warm-up iteration.
 //  * GradMode (thread-local) disables tape construction for inference.
 #pragma once
 

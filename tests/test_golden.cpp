@@ -5,10 +5,13 @@
 // routing -> congestion analysis — at a fixed seed, and hashes the final
 // placement coordinates plus the congestion-level map with FNV-1a. The hash
 // must be bit-identical across MFA_THREADS in {1, 4} x MFA_POOL in {on, off}:
-// this turns the thread-count invariance and the pool (and tape arena)
-// bitwise-transparency claims into one durable regression gate, with the
-// observability layer live while it runs (spans and counters must never
-// perturb numerics).
+// this turns the thread-count invariance and the pool's bitwise-transparency
+// claims into one durable regression gate, with the observability layer live
+// while it runs (spans and counters must never perturb numerics).
+//
+// The hashed levels are thresholded, so a sub-threshold change in what an op
+// writes cannot move them. A second hash therefore covers the trained model's
+// raw eval-mode logits, held to the same matrix and pinned the same way.
 //
 // The whole matrix runs once per supported GEMM variant (scalar/avx2/avx512,
 // see tensor/gemm.h), and the hash is additionally pinned per variant to
@@ -55,11 +58,17 @@ struct Fnv1a {
   void i32(std::int32_t v) { bytes(&v, sizeof(v)); }
 };
 
-// One full pipeline run at fixed seeds; returns the FNV-1a hash of the final
-// placement and the routed congestion-level map. Everything that could
-// perturb determinism (placer RNG, trainer shuffle, model init) is seeded
+struct PipelineHashes {
+  std::uint64_t pipeline;  // final placement + routed congestion levels
+  std::uint64_t logits;    // raw eval-mode logits of the trained model
+};
+
+// One full pipeline run at fixed seeds; returns the FNV-1a hashes of the
+// final placement and routed congestion-level map, and of the trained
+// model's logits on the placed features. Everything that could perturb
+// determinism (placer RNG, trainer shuffle, model init) is seeded
 // explicitly; wall-clock-dependent paths (budgets) are left disabled.
-std::uint64_t run_pipeline_hash() {
+PipelineHashes run_pipeline_hash() {
   const auto device = fpga::DeviceGrid::make_xcvu3p_like(40, 32);
   netlist::DesignSpec spec = netlist::mlcad2023_spec("Design_116");
   spec.lut_util *= 0.4;
@@ -108,6 +117,17 @@ std::uint64_t run_pipeline_hash() {
   Tensor feats = features::extract_features(design, device, cx, cy, fopt);
   Tensor batched =
       ops::reshape(feats, {1, feats.size(0), feats.size(1), feats.size(2)});
+  Fnv1a logits_fnv;
+  {
+    auto& net = model->network();
+    const bool was_training = net.is_training();
+    net.train(false);
+    const NoGradGuard no_grad;
+    const Tensor logits = model->forward(batched);
+    logits_fnv.bytes(logits.data(),
+                     static_cast<size_t>(logits.numel()) * sizeof(float));
+    net.train(was_training);
+  }
   Tensor pred = model->predict_levels(batched);
   std::vector<float> levels(pred.data(), pred.data() + pred.numel());
 
@@ -137,7 +157,7 @@ std::uint64_t run_pipeline_hash() {
     }
   }
   for (float v : analysis.label) fnv.f32(v);
-  return fnv.h;
+  return {fnv.h, logits_fnv.h};
 }
 
 // Per-GEMM-variant pinned hashes, captured on the CI box (x86-64, gcc 12, no
@@ -156,17 +176,28 @@ constexpr std::uint64_t kGoldenHashPerVariant[kernels::kNumVariants] = {
     0xb60d3b1dc5309ff8ULL,  // avx512
 };
 
+// Per-GEMM-variant pinned hashes of the eval-mode logits, captured like
+// kGoldenHashPerVariant. These are raw floats, so unlike the thresholded
+// pipeline hash the scalar variant (mul+add) differs from the FMA-using SIMD
+// variants; avx2 and avx512 coincide at this seed. If a variant's kernel
+// numerics change intentionally, update only that entry.
+constexpr std::uint64_t kLogitsHashPerVariant[kernels::kNumVariants] = {
+    0xa51bead3be8722acULL,  // scalar
+    0x88143f09b273ca5aULL,  // avx2
+    0x88143f09b273ca5aULL,  // avx512
+};
+
 struct GoldenConfig {
   int threads;
   bool pool;
 };
 
-// MFA_THREADS x MFA_POOL. Pool off also bypasses the tape arena, so the pool
-// axis covers arena-vs-heap bit identity too.
+// MFA_THREADS x MFA_POOL: pool off makes every tensor buffer an exact heap
+// block, so the pool axis covers recycled-vs-fresh bit identity.
 constexpr GoldenConfig kGoldenConfigs[] = {
     {1, true}, {4, true}, {1, false}, {4, false}};
 
-TEST(Golden, EndToEndHashIsBitIdenticalAcrossThreadPoolAndExecConfigs) {
+TEST(Golden, EndToEndAndLogitsHashesBitIdenticalAcrossThreadsAndPool) {
   auto& thread_pool = common::ThreadPool::instance();
   auto& storage_pool = tensor::StoragePool::instance();
   const bool pool_was_enabled = storage_pool.enabled();
@@ -176,7 +207,7 @@ TEST(Golden, EndToEndHashIsBitIdenticalAcrossThreadPoolAndExecConfigs) {
       continue;
     }
     ASSERT_TRUE(kernels::set_variant_override(v));
-    std::vector<std::uint64_t> hashes;
+    std::vector<PipelineHashes> hashes;
     for (const auto& cfg : kGoldenConfigs) {
       thread_pool.resize_for_testing(cfg.threads);
       storage_pool.set_enabled(cfg.pool);
@@ -189,17 +220,27 @@ TEST(Golden, EndToEndHashIsBitIdenticalAcrossThreadPoolAndExecConfigs) {
     const char* vname =
         kernels::variant_name(static_cast<kernels::Variant>(v));
     for (size_t i = 1; i < hashes.size(); ++i) {
-      EXPECT_EQ(hashes[0], hashes[i])
+      EXPECT_EQ(hashes[0].pipeline, hashes[i].pipeline)
           << "[" << vname << "] pipeline hash diverged between config 0 "
           << "(threads=1, pool=on) and config " << i
           << " (threads=" << kGoldenConfigs[i].threads
           << ", pool=" << (kGoldenConfigs[i].pool ? "on" : "off") << ")";
+      EXPECT_EQ(hashes[0].logits, hashes[i].logits)
+          << "[" << vname << "] logits hash diverged between config 0 "
+          << "(threads=1, pool=on) and config " << i
+          << " (threads=" << kGoldenConfigs[i].threads
+          << ", pool=" << (kGoldenConfigs[i].pool ? "on" : "off") << ")";
     }
-    EXPECT_EQ(hashes[0], kGoldenHashPerVariant[v])
+    EXPECT_EQ(hashes[0].pipeline, kGoldenHashPerVariant[v])
         << "[" << vname << "] golden pipeline hash changed. If this is an "
         << "intentional numeric change, update kGoldenHashPerVariant["
-        << v << "] in tests/test_golden.cpp to 0x" << std::hex << hashes[0]
-        << "; otherwise bisect the regression.";
+        << v << "] in tests/test_golden.cpp to 0x" << std::hex
+        << hashes[0].pipeline << "; otherwise bisect the regression.";
+    EXPECT_EQ(hashes[0].logits, kLogitsHashPerVariant[v])
+        << "[" << vname << "] golden logits hash changed. If this is an "
+        << "intentional numeric change, update kLogitsHashPerVariant["
+        << v << "] in tests/test_golden.cpp to 0x" << std::hex
+        << hashes[0].logits << "; otherwise bisect the regression.";
   }
   kernels::set_variant_override(-1);
 

@@ -153,8 +153,9 @@ TEST(Integration, RegionConstrainedCellsConvergeIntoRegions) {
     const auto& region = design.regions[static_cast<size_t>(obj.region)];
     inside += region.contains(placement.x[oi], placement.y[oi]);
   }
-  if (total > 0)
+  if (total > 0) {
     EXPECT_GT(static_cast<double>(inside) / static_cast<double>(total), 0.9);
+  }
 }
 
 TEST(Integration, ScoreMonotoneInCongestion) {

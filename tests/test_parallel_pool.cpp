@@ -52,9 +52,10 @@ TEST(PoolFastPath, SmallRangeNeverConstructsPool) {
       },
       /*grain=*/1024);
   for (int h : hit) EXPECT_EQ(h, 1);
-  if (!pool_was_up)
+  if (!pool_was_up) {
     EXPECT_FALSE(ThreadPool::initialized())
         << "n <= grain must not touch (or lazily build) the pool";
+  }
 }
 
 TEST(Pool, JobsRunCountsOnlyDispatchedRegions) {

@@ -244,7 +244,7 @@ std::vector<float> sparse_pipeline_bits(int seed) {
   return bits;
 }
 
-TEST(SparseDeterminism, BitwiseIdenticalAcrossThreadsPoolAndExec) {
+TEST(SparseDeterminism, BitwiseIdenticalAcrossThreadsAndPool) {
   auto& thread_pool = common::ThreadPool::instance();
   auto& storage_pool = StoragePool::instance();
   const bool pool_prev = storage_pool.enabled();
@@ -381,7 +381,7 @@ std::vector<float> lhnn_step_grads() {
   return flat;
 }
 
-TEST(Lhnn, TrainStepBitwiseAcrossExecAndThreads) {
+TEST(Lhnn, TrainStepBitwiseAcrossThreadsAndPool) {
   const SparseEnv base(1);
   const auto reference = lhnn_step_grads();
   ASSERT_FALSE(reference.empty());

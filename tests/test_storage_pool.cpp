@@ -4,7 +4,9 @@
 // and a concurrency stress meant to run under the TSan preset too.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -90,6 +92,49 @@ TEST(StoragePool, ReleasedBlockIsReusedNotReallocated) {
   st = pool.stats();
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 1u) << "second acquisition must not hit the heap";
+}
+
+TEST(Storage, ZeroFillOfARecycledDirtyBlockIsBitExact) {
+  // +0.0f fills take a memset, every other value std::fill. A recycled block
+  // still holds its last owner's bytes, so the fill alone must clear them,
+  // and -0.0f must keep its sign bit rather than take the memset.
+  PoolEnabledGuard guard;
+  auto& pool = StoragePool::instance();
+  pool.set_enabled(true);
+  pool.trim();
+  constexpr std::int64_t n = 1000;  // bucket of 1024 floats
+  const auto make_dirty = [](Storage& s) {
+    s.fill(1.0f);
+    for (std::size_t i = 0; i < s.size(); i += 3)
+      s[i] = std::bit_cast<float>(std::uint32_t{0x7fc0beefu});  // NaN payload
+  };
+  const auto every_word_is = [](const Storage& s, std::uint32_t bits) {
+    for (const float v : s)
+      if (std::bit_cast<std::uint32_t>(v) != bits) return false;
+    return true;
+  };
+  const float* block = nullptr;
+  {
+    Storage dirty;
+    dirty.assign(n, 1.0f);
+    make_dirty(dirty);
+    block = dirty.data();
+  }  // parks the dirty block in this thread's cache
+
+  Storage s;
+  s.assign(n, 0.0f);
+  EXPECT_EQ(s.data(), block) << "the same bucket must reuse the dirty block";
+  EXPECT_TRUE(every_word_is(s, 0u)) << "assign(n, 0.0f)";
+  make_dirty(s);
+  s.fill(0.0f);
+  EXPECT_TRUE(every_word_is(s, 0u)) << "fill(0.0f)";
+  make_dirty(s);
+  s.reset();
+
+  Storage neg;
+  neg.assign(n, -0.0f);
+  EXPECT_EQ(neg.data(), block);
+  EXPECT_TRUE(every_word_is(neg, 0x80000000u)) << "assign(n, -0.0f)";
 }
 
 TEST(StoragePool, DisabledBypassesFreeLists) {
@@ -226,7 +271,9 @@ TEST(StoragePool, HighWaterStableAcrossEpochsNoLeak) {
   // would show up here).
   EXPECT_LE(pool.stats().live_floats_high_water, first_mark)
       << "live high-water grew across identical epochs: buffers are leaking";
-  // Steady state must be dominated by free-list hits, not heap traffic.
+  // Steady state must be dominated by free-list hits, not heap traffic. Op
+  // intermediates draw from the pool like every other buffer, so both
+  // bounds cover them too.
   EXPECT_GT(st.hits, st.misses * 10)
       << "steady-state epochs should almost never touch the heap";
 }

@@ -2,11 +2,10 @@
 //
 // The contract under test: backward() runs the closures in one fixed
 // reverse-topological order, so gradients are BIT-identical for any thread
-// count and with the storage pool on or off (pool off also bypasses the
-// tape arena). The arena must recycle intermediate buffers across steps
-// without perturbing numerics, keep escaped tensors alive, and give memory
-// back when the workload shrinks. Diagnostic reports (race tracking) are
-// identical for every pool size.
+// count and with the storage pool on or off. Retiring the tape must not
+// disturb intermediates the caller still holds, and steady-state planning
+// allocates nothing. Diagnostic reports (race tracking) are identical for
+// every pool size.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -58,11 +57,11 @@ class TapeEnv {
 
 /// The bit-identity matrix: pool threads {1, 4} x storage pool {on, off}.
 /// Entry 0 is the reference every other configuration must match.
-struct ExecConfig {
+struct MatrixConfig {
   int threads;
   bool pool;
 };
-constexpr ExecConfig kExecConfigs[] = {
+constexpr MatrixConfig kMatrix[] = {
     {1, true}, {4, true}, {1, false}, {4, false}};
 
 Tensor make_input(Shape shape, int seed, float scale = 1.0f) {
@@ -104,7 +103,7 @@ std::vector<float> grads_after_backward(const std::function<Tensor()>& fn,
 
 // ---- correctness: gradcheck and bit identity ------------------------------
 
-TEST(TapeGraph, DiamondGraphGradchecksUnderGraphExecutor) {
+TEST(TapeGraph, DiamondGraphGradchecksOnFourThreads) {
   const TapeEnv env(4);
   Tensor a = make_input({64}, 11, 0.5f);
   const auto result = gradcheck(
@@ -120,9 +119,9 @@ TEST(TapeGraph, DiamondGraphGradchecksUnderGraphExecutor) {
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
-TEST(TapeGraph, SharedSubexpressionAccumulatesIdenticallyToSeq) {
+TEST(TapeGraph, SharedSubexpressionBitIdenticalAcrossThreadsAndPool) {
   // s = a*a feeds three consumers; every scatter into s.grad (and then into
-  // a.grad) must accumulate in the sequential walk's order, bit for bit.
+  // a.grad) must accumulate in the walk's one fixed order, bit for bit.
   Tensor a = make_input({4096}, 12, 0.5f);
   Tensor b = make_input({4096}, 13, 0.5f);
   std::vector<Tensor> params = {a, b};
@@ -131,7 +130,7 @@ TEST(TapeGraph, SharedSubexpressionAccumulatesIdenticallyToSeq) {
     return sum(add(add(mul(s, b), relu(s)), mul(s, s)));
   };
   std::vector<std::vector<float>> runs;
-  for (const ExecConfig& cfg : kExecConfigs) {
+  for (const MatrixConfig& cfg : kMatrix) {
     const TapeEnv env(cfg.threads, cfg.pool);
     runs.push_back(grads_after_backward(build, params));
   }
@@ -143,10 +142,10 @@ TEST(TapeGraph, SharedSubexpressionAccumulatesIdenticallyToSeq) {
   }
 }
 
-TEST(TapeGraph, ConvTrainStepBitIdenticalSeqVsGraphAndFusionOnOff) {
+TEST(TapeGraph, ConvTrainStepBitIdenticalAcrossThreadsAndPool) {
   // A conv+elementwise composite trained for a few steps: parameters must
   // stay bitwise equal across thread counts and storage-pool modes.
-  const auto run = [](const ExecConfig& cfg) -> std::vector<float> {
+  const auto run = [](const MatrixConfig& cfg) -> std::vector<float> {
     const TapeEnv env(cfg.threads, cfg.pool);
     Rng rng(99);
     Tensor x = Tensor::randn({2, 3, 8, 8}, rng, 1.0f);
@@ -167,9 +166,9 @@ TEST(TapeGraph, ConvTrainStepBitIdenticalSeqVsGraphAndFusionOnOff) {
     }
     return flat;
   };
-  const auto baseline = run(kExecConfigs[0]);
-  for (size_t c = 1; c < std::size(kExecConfigs); ++c)
-    EXPECT_EQ(baseline, run(kExecConfigs[c])) << "config " << c;
+  const auto baseline = run(kMatrix[0]);
+  for (size_t c = 1; c < std::size(kMatrix); ++c)
+    EXPECT_EQ(baseline, run(kMatrix[c])) << "config " << c;
 }
 
 // ---- bookkeeping: zero-alloc steady state -------------------------------
@@ -192,70 +191,9 @@ TEST(TapeGraph, PlanBookkeepingStopsAllocatingAfterWarmup) {
       << "backward() bookkeeping grew a plan vector in the steady state";
 }
 
-// ---- arena: recycling, pinning, trimming --------------------------------
-
-TEST(TapeArenaTest, SteadyStateReusesEntriesAndTrimsAfterShrink) {
-  if (!StoragePool::instance().enabled())
-    GTEST_SKIP() << "pool disabled (MFA_POOL=off): arena is bypassed";
-  const TapeEnv env(1);
-  auto& arena = Tape::current().arena();
-  arena.clear();
-  std::vector<Tensor> ws, xs;
-  for (int i = 0; i < 2; ++i) {
-    ws.push_back(make_input({2048}, 90 + i, 0.5f));
-    Rng rng(static_cast<std::uint64_t>(95 + i));
-    xs.push_back(Tensor::randn({2048}, rng, 0.5f));
-  }
-  wide_branch_loss(ws, xs).backward();
-  const std::int64_t entries_after_one = arena.entries();
-  const std::int64_t floats_after_one = arena.held_floats();
-  EXPECT_GT(entries_after_one, 0);
-  // Steady state: identical steps must not grow the arena at all.
-  for (int step = 0; step < 6; ++step) {
-    for (auto& w : ws) w.zero_grad();
-    wide_branch_loss(ws, xs).backward();
-  }
-  EXPECT_EQ(arena.entries(), entries_after_one);
-  EXPECT_EQ(arena.held_floats(), floats_after_one);
-  // Shrink the workload: after two small steps (high-water window), the big
-  // entries must have been given back.
-  Tensor small_w = make_input({64}, 97);
-  Rng rng(98);
-  Tensor small_x = Tensor::randn({64}, rng, 0.5f);
-  for (int step = 0; step < 3; ++step) {
-    small_w.zero_grad();
-    sum(relu(mul(small_w, small_x))).backward();
-  }
-  EXPECT_LT(arena.held_floats(), floats_after_one);
-  arena.clear();
-}
-
-TEST(TapeArenaTest, EscapedIntermediatePinsItsBufferAcrossRetire) {
-  if (!StoragePool::instance().enabled())
-    GTEST_SKIP() << "pool disabled (MFA_POOL=off): arena is bypassed";
-  const TapeEnv env(1);
-  Tensor a = make_input({512}, 30, 0.5f);
-  Tensor y = mul(a, a);  // intermediate drawn from the arena
-  sum(y).backward();     // retires the tape; y's handle must pin its entry
-  const std::vector<float> snapshot = y.to_vector();
-  // Run more steps over the same bucket size: the pinned entry must never be
-  // handed out while y lives.
-  for (int step = 0; step < 4; ++step) {
-    a.zero_grad();
-    sum(relu(mul(a, a))).backward();
-  }
-  EXPECT_EQ(y.to_vector(), snapshot);
-  // Once y drops, its entry is reusable (or trimmable) again.
-  y = Tensor();
-  for (int step = 0; step < 3; ++step) {
-    a.zero_grad();
-    sum(relu(mul(a, a))).backward();
-  }
-}
-
 // ---- diagnostics under the storage sanitizer -----------------------------
 
-TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossExecModes) {
+TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossPoolSizes) {
   if (!sanitize::compiled_in())
     GTEST_SKIP() << "storage sanitizer compiled out (NDEBUG build)";
   // A backward closure with the classic forgotten-offset bug: every chunk
@@ -332,7 +270,7 @@ TEST(TapeSanitize, ParallelBackwardRunsCleanWithSanitizerArmed) {
       for (auto& w : ws) w.zero_grad();
       wide_branch_loss(ws, xs).backward();
     }
-    Tape::current().arena().verify_guards();
+    StoragePool::instance().verify_cached_guards();
   }
   const auto counts = sanitize::counts();
   EXPECT_EQ(counts.total(), 0)
@@ -363,6 +301,27 @@ TEST(TapeRetire, RetiredGraphSurvivorActsAsLeaf) {
   EXPECT_EQ(gy.size(), static_cast<size_t>(y.numel()));
 }
 
+TEST(TapeRetire, EscapedIntermediateKeepsItsValuesAcrossLaterSteps) {
+  const TapeEnv env(1);
+  Tensor a = make_input({512}, 30, 0.5f);
+  Tensor y = mul(a, a);  // intermediate the caller keeps past the step
+  sum(y).backward();     // retires the tape; y's handle keeps its buffer
+  const std::vector<float> snapshot = y.to_vector();
+  // More steps over the same bucket size: y's buffer must never be handed
+  // out again while y lives.
+  for (int step = 0; step < 4; ++step) {
+    a.zero_grad();
+    sum(relu(mul(a, a))).backward();
+  }
+  EXPECT_EQ(y.to_vector(), snapshot);
+  // Once y drops, its buffer recycles like any other.
+  y = Tensor();
+  for (int step = 0; step < 3; ++step) {
+    a.zero_grad();
+    sum(relu(mul(a, a))).backward();
+  }
+}
+
 TEST(TapeRetire, BackwardFromLeafLeavesRecordedGraphLive) {
   const TapeEnv env(1);
   Tensor a = make_input({16}, 89);
@@ -390,9 +349,9 @@ void two_head_graph(Tensor& w, Tensor& x, Tensor& head1, Tensor& head2) {
   head2 = sum(mul(trunk, trunk));
 }
 
-TEST(TapeMultiRoot, TwoHeadGradsBitwiseIdenticalSeqVsGraph) {
+TEST(TapeMultiRoot, TwoHeadGradsBitIdenticalAcrossThreadsAndPool) {
   std::vector<std::vector<float>> runs;
-  for (const ExecConfig& cfg : kExecConfigs) {
+  for (const MatrixConfig& cfg : kMatrix) {
     const TapeEnv env(cfg.threads, cfg.pool);
     Tensor w = make_input({256}, 101, 0.5f);
     Tensor x = make_input({256}, 102, 0.5f);
