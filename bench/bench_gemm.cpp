@@ -1,23 +1,18 @@
-// GEMM shape sweep and SIMD-vs-scalar envelope for the dispatched kernel
-// family (tensor/gemm.h).
+// GEMM shape sweep for the dispatched kernel family (tensor/gemm.h): prints
+// a per-variant GFLOP/s table, one row per shape, for every variant this CPU
+// supports.
 //
 // The shape set is the model's real GEMM work: per-sample conv im2col
 // products (forward nn, dW nt, dcol tn) at the paper model's channel widths,
 // plus the transformer block's token matmuls. Timing is best-of-reps
 // wall-clock per shape.
 //
-// Modes (driven by scripts/bench.sh):
-//   --sweep               per-variant GFLOP/s table over the shape set
-//   --envelope            JSON line: best-SIMD vs scalar speedup on the
-//                         large shapes (bench.sh --check asserts >= 2x on
-//                         the fingerprinted host)
+// Usage: bench_gemm
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -50,10 +45,6 @@ const Shape kShapes[] = {
     {OpKind::kNT, 512, 512, 512, "large nt"},
     {OpKind::kTN, 512, 512, 512, "large tn"},
 };
-
-// The envelope compares SIMD to scalar only where SIMD should pay —
-// the packing-scale shapes.
-bool is_large(const Shape& s) { return s.m * s.k * s.n >= (1 << 26); }
 
 void run_shape(const Shape& s, const float* A, const float* B, float* C) {
   switch (s.op) {
@@ -117,7 +108,9 @@ int reps_for(const Shape& s) {
   return s.m * s.k * s.n >= (1 << 24) ? 3 : 7;
 }
 
-void mode_sweep() {
+}  // namespace
+
+int main() {
   std::printf("%-16s", "shape");
   for (Variant v : supported())
     std::printf("  %12s", kernels::variant_name(v));
@@ -132,45 +125,5 @@ void mode_sweep() {
     std::printf("\n");
   }
   kernels::set_variant_override(-1);
-}
-
-int mode_envelope() {
-  const auto vs = supported();
-  const Variant best = vs.back();
-  if (best == Variant::kScalar) {
-    std::printf("GEMM_ENVELOPE {\"simd\": \"scalar\", \"speedup\": 1.0}\n");
-    return 0;
-  }
-  double worst = 1e30;
-  for (const Shape& s : kShapes) {
-    if (!is_large(s)) continue;
-    ShapeData d = make_data(s, 7);
-    kernels::set_variant_override(static_cast<int>(Variant::kScalar));
-    const double t_scalar = time_shape(s, d, reps_for(s));
-    kernels::set_variant_override(static_cast<int>(best));
-    const double t_simd = time_shape(s, d, reps_for(s));
-    worst = std::min(worst, t_scalar / t_simd);
-  }
-  kernels::set_variant_override(-1);
-  std::printf("GEMM_ENVELOPE {\"simd\": \"%s\", \"speedup\": %.3f}\n",
-              kernels::variant_name(best), worst);
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string mode = "--sweep";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--sweep" || arg == "--envelope") {
-      mode = arg;
-    } else {
-      std::fprintf(stderr, "usage: bench_gemm [--sweep|--envelope]\n");
-      return 2;
-    }
-  }
-  if (mode == "--envelope") return mode_envelope();
-  mode_sweep();
   return 0;
 }

@@ -1,12 +1,12 @@
 // Micro-benchmarks of the substrates (google-benchmark): NN kernels, MFA /
 // transformer blocks, feature extraction, router and placer throughput.
+// A timing diagnostic with no committed output: the perf record is
+// perfbench (BENCHMARK.json), and the allocation and overhead gates are
+// ctest cases (tests/test_storage_pool.cpp, tests/test_perf.cpp).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
-#include "common/metrics.h"
-#include "common/sanitize.h"
-#include "common/trace.h"
 #include "features/features.h"
 #include "models/blocks.h"
 #include "models/congestion_model.h"
@@ -16,37 +16,10 @@
 #include "place/placer.h"
 #include "route/router.h"
 #include "tensor/ops.h"
-#include "tensor/storage.h"
-#include "tensor/tape.h"
 
 using namespace mfa;
 
 namespace {
-
-/// Attaches per-iteration StoragePool counters to a benchmark: pool hits and
-/// heap allocations (misses) per iteration, measured over the timed loop
-/// only. scripts/bench.sh compares heap_allocs_per_iter against an
-/// MFA_POOL=off run to assert the steady-state allocation reduction.
-struct PoolCounterScope {
-  explicit PoolCounterScope(benchmark::State& state) : state_(state) {
-    tensor::StoragePool::instance().reset_stats();
-  }
-  ~PoolCounterScope() {
-    const auto st = tensor::StoragePool::instance().stats();
-    const auto iters = static_cast<double>(std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(state_.iterations())));
-    state_.counters["pool_hits_per_iter"] =
-        static_cast<double>(st.hits) / iters;
-    state_.counters["heap_allocs_per_iter"] =
-        static_cast<double>(st.misses) / iters;
-    // scripts/bench.sh --check asserts this is 0: the mfa::sanitize storage
-    // checker (redzones, generation stamps, write-set logging) must be fully
-    // compiled out of optimized builds, not merely disabled at runtime.
-    state_.counters["sanitize_compiled_in"] =
-        sanitize::compiled_in() ? 1.0 : 0.0;
-  }
-  benchmark::State& state_;
-};
 
 void BM_Conv2dForward(benchmark::State& state) {
   const auto channels = state.range(0);
@@ -65,69 +38,18 @@ void BM_Conv2dTrainStep(benchmark::State& state) {
   Rng rng(2);
   Tensor x = Tensor::randn({4, 8, 64, 64}, rng);
   Tensor w = Tensor::randn({8, 8, 3, 3}, rng, 0.1f, /*requires_grad=*/true);
-  const auto step = [&] {
+  for (auto _ : state) {
     w.zero_grad();
     Tensor y = ops::conv2d(x, w, Tensor(), 1, 1);
     ops::sum(ops::mul(y, y)).backward();
     benchmark::DoNotOptimize(w.grad().data());
-  };
-  step();  // warm-up: populate the free lists before counting
-  PoolCounterScope counters(state);
-  for (auto _ : state) step();
+  }
 }
 BENCHMARK(BM_Conv2dTrainStep);
-
-/// Observability overhead pair: the same train step as BM_Conv2dTrainStep,
-/// but instrumented the way the trainer is (one trace span + a counter bump
-/// + a gauge set per step), run once with obs recording enabled and once
-/// with it disabled. scripts/bench.sh --check compares the pair and fails
-/// if the enabled run is more than 2% slower. obs_spans_per_iter documents
-/// which mode each run was in (1 when recording, 0 when disabled).
-void RunConv2dTrainStepObs(benchmark::State& state, bool obs_on) {
-  const bool prev = obs::enabled();
-  obs::set_enabled(obs_on);
-  Rng rng(2);
-  Tensor x = Tensor::randn({4, 8, 64, 64}, rng);
-  Tensor w = Tensor::randn({8, 8, 3, 3}, rng, 0.1f, /*requires_grad=*/true);
-  static obs::Counter steps = obs::counter("bench.conv2d_train_steps");
-  static obs::Gauge loss = obs::gauge("bench.conv2d_train_loss");
-  const auto step = [&] {
-    MFA_TRACE_SCOPE("bench.conv2d_train_step");
-    w.zero_grad();
-    Tensor y = ops::conv2d(x, w, Tensor(), 1, 1);
-    Tensor l = ops::sum(ops::mul(y, y));
-    l.backward();
-    steps.add();
-    loss.set(static_cast<double>(l.data()[0]));
-    benchmark::DoNotOptimize(w.grad().data());
-  };
-  step();  // warm-up: free lists and metric cells exist before the timed loop
-  const std::int64_t spans0 = obs::trace_total_recorded();
-  for (auto _ : state) step();
-  const auto iters = static_cast<double>(std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(state.iterations())));
-  state.counters["obs_spans_per_iter"] =
-      static_cast<double>(obs::trace_total_recorded() - spans0) / iters;
-  obs::set_enabled(prev);
-}
-
-void BM_Conv2dTrainStepObsOn(benchmark::State& state) {
-  RunConv2dTrainStepObs(state, true);
-}
-BENCHMARK(BM_Conv2dTrainStepObsOn);
-
-void BM_Conv2dTrainStepObsOff(benchmark::State& state) {
-  RunConv2dTrainStepObs(state, false);
-}
-BENCHMARK(BM_Conv2dTrainStepObsOff);
 
 /// Backward pass in isolation: the forward re-records the tape outside the
 /// timed region each iteration (backward retires the whole tape), so the
 /// measurement is the planner + closure cost alone.
-/// tape_plan_allocs_per_iter exports Tape::plan_grow_events() growth over the
-/// timed loop; scripts/bench.sh --check asserts it is 0 — backward()
-/// bookkeeping (visit stamps, order vectors) must allocate nothing in the
-/// steady state.
 void BM_BackwardOnly(benchmark::State& state) {
   Rng rng(8);
   Tensor x = Tensor::randn({4, 8, 64, 64}, rng);
@@ -138,13 +60,6 @@ void BM_BackwardOnly(benchmark::State& state) {
     Tensor y = ops::conv2d(h, w2, Tensor(), 1, 1);
     return ops::sum(ops::mul(y, y));
   };
-  {
-    Tensor l = forward();
-    l.backward();  // warm-up: pool free lists and plan vectors
-  }
-  auto& tape = tensor::Tape::current();
-  const std::int64_t grow0 = tape.plan_grow_events();
-  PoolCounterScope counters(state);
   for (auto _ : state) {
     state.PauseTiming();
     w1.zero_grad();
@@ -154,10 +69,6 @@ void BM_BackwardOnly(benchmark::State& state) {
     l.backward();
     benchmark::DoNotOptimize(w1.grad().data());
   }
-  const auto iters = static_cast<double>(std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(state.iterations())));
-  state.counters["tape_plan_allocs_per_iter"] =
-      static_cast<double>(tape.plan_grow_events() - grow0) / iters;
 }
 BENCHMARK(BM_BackwardOnly);
 
@@ -168,13 +79,10 @@ void BM_PredictLevels(benchmark::State& state) {
   config.transformer_layers = 1;
   auto model = models::make_model("ours", config);
   Tensor x = Tensor::uniform({1, 6, 32, 32}, rng, 0.0f, 1.0f);
-  const auto predict = [&] {
+  for (auto _ : state) {
     Tensor levels = model->predict_levels(x);
     benchmark::DoNotOptimize(levels.data());
-  };
-  predict();  // warm-up: populate the free lists before counting
-  PoolCounterScope counters(state);
-  for (auto _ : state) predict();
+  }
 }
 BENCHMARK(BM_PredictLevels);
 
@@ -191,15 +99,12 @@ void BM_ScatterAdd(benchmark::State& state) {
   for (auto& id : ids)
     id = static_cast<float>(rng.uniform_int(0, rows - 1));
   const Tensor index = Tensor::from_data({m}, std::move(ids));
-  const auto step = [&] {
+  for (auto _ : state) {
     src.zero_grad();
     Tensor out = ops::scatter_add_rows(src, index, rows);
     ops::sum(ops::mul(out, out)).backward();
     benchmark::DoNotOptimize(src.grad().data());
-  };
-  step();  // warm-up: free lists, plan vectors, slot accumulators
-  PoolCounterScope counters(state);
-  for (auto _ : state) step();
+  }
 }
 BENCHMARK(BM_ScatterAdd)->Arg(1 << 12)->Arg(1 << 16);
 
@@ -215,13 +120,10 @@ void BM_SegmentSum(benchmark::State& state) {
     id = static_cast<float>(rng.uniform_int(0, segments - 1));
   const Tensor index = Tensor::from_data({m}, std::move(ids));
   NoGradGuard guard;
-  const auto step = [&] {
+  for (auto _ : state) {
     Tensor out = ops::segment_sum(src, index, segments);
     benchmark::DoNotOptimize(out.data());
-  };
-  step();  // warm-up
-  PoolCounterScope counters(state);
-  for (auto _ : state) step();
+  }
 }
 BENCHMARK(BM_SegmentSum)->Arg(1 << 12)->Arg(1 << 16);
 
@@ -235,13 +137,10 @@ void BM_LhnnPredict(benchmark::State& state) {
   config.transformer_layers = 1;
   auto model = models::make_model("lhnn", config);
   Tensor x = Tensor::uniform({1, 6, 32, 32}, rng, 0.0f, 1.0f);
-  const auto predict = [&] {
+  for (auto _ : state) {
     Tensor levels = model->predict_levels(x);
     benchmark::DoNotOptimize(levels.data());
-  };
-  predict();  // warm-up
-  PoolCounterScope counters(state);
-  for (auto _ : state) predict();
+  }
 }
 BENCHMARK(BM_LhnnPredict);
 

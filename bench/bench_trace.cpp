@@ -1,16 +1,20 @@
-// Timeline capture driver for scripts/bench.sh --trace: runs a small but
-// complete pipeline — synthetic dataset -> 2-epoch training -> the full
-// routability-driven flow with the trained model — with the observability
-// layer forced on, then writes the span ring as Chrome trace_event JSON.
-// Load the output in chrome://tracing (or ui.perfetto.dev) to see where the
-// run spent its time: trainer epochs, flow rounds, predictor forwards,
-// inflation, placer iterations and the router stages all appear as nested
-// "X" slices.
+// Timeline capture driver: runs a small but complete pipeline — synthetic
+// dataset -> 2-epoch training -> the full routability-driven flow with the
+// trained model — with the observability layer forced on, then writes the
+// span ring as Chrome trace_event JSON. Load the output in chrome://tracing
+// (or ui.perfetto.dev) to see where the run spent its time: trainer epochs,
+// flow rounds, predictor forwards, inflation, placer iterations and the
+// router stages all appear as nested "X" slices.
+//
+// Exits 1, naming what is missing, unless the trace holds a span from each
+// pipeline stage (trainer epoch, flow round, placer iteration, detailed
+// route); ctest runs it as `trace_spans`.
 //
 // Usage: bench_trace <output.json>
 // Knobs (environment): MFA_TRACE_EPOCHS (default 2), MFA_SEED (1).
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 
 #include "bench_util.h"
@@ -84,10 +88,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_trace: failed to write %s\n", out_path.c_str());
     return 1;
   }
+  const auto spans = obs::trace_snapshot();
   std::printf("bench_trace: S_score %.1f, %lld spans (%lld recorded) -> %s\n",
-              result.s_score,
-              static_cast<long long>(obs::trace_snapshot().size()),
+              result.s_score, static_cast<long long>(spans.size()),
               static_cast<long long>(obs::trace_total_recorded()),
               out_path.c_str());
-  return 0;
+  std::set<std::string> names;
+  for (const auto& e : spans) names.insert(e.name);
+  int missing = 0;
+  for (const char* required : {"trainer.epoch", "flow.round", "placer.iterate",
+                               "router.detailed_route"}) {
+    if (names.count(required) == 0) {
+      std::fprintf(stderr, "bench_trace: no %s span in the trace\n", required);
+      ++missing;
+    }
+  }
+  return missing == 0 ? 0 : 1;
 }

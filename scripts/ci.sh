@@ -17,6 +17,9 @@
 # storage sanitizer armed — the serving concurrency suite under both
 # checkers at once.
 #
+# The release tree also runs the timing gates (ctest label `perf`, only
+# listed under `-C Perf`, see tests/test_perf.cpp) once, serially.
+#
 # Each configuration gets its own build tree under build-ci/ so the matrix
 # never contaminates the developer's ./build. Also runs scripts/lint.sh
 # (clang-tidy gate + header self-containment) against the first
@@ -71,6 +74,8 @@ run_config() {
 }
 
 run_config release RelWithDebInfo ""
+echo "=== [release, perf] test ==="
+ctest --test-dir build-ci/release --output-on-failure -C Perf -L perf
 # Second release pass with the GEMM dispatch pinned to the scalar kernels:
 # every SIMD-capable box also proves the portable fallback — the code path
 # a non-x86 or pre-AVX2 host would run — end to end, including the golden
@@ -118,38 +123,6 @@ MFA_SANITIZE_STORAGE=on \
 ctest --test-dir build-ci/faults --output-on-failure "${JOBS}" \
   --output-junit ctest-junit-sanitize.xml
 report_slowest build-ci/faults/ctest-junit-sanitize.xml "faults, sanitize=on"
-
-echo "=== bench smoke ==="
-# One tiny repetition: proves bench_micro runs and the JSON pipeline is
-# well-formed without spending CI minutes on stable numbers. Real numbers
-# come from `scripts/bench.sh` on a quiet box (committed as BENCH_micro.json,
-# compared against bench/baseline.json).
-scripts/bench.sh --smoke build-ci/release
-python3 - <<'PY'
-import json
-doc = json.load(open("build-ci/release/BENCH_micro.smoke.json"))
-assert doc["smoke"] is True
-assert doc["benchmarks"], "bench smoke produced no benchmark entries"
-assert all("real_time" in b for b in doc["benchmarks"])
-print(f"bench smoke: {len(doc['benchmarks'])} benchmarks, JSON well-formed")
-PY
-
-echo "=== bench smoke (serve) ==="
-# Same idea for the serving benchmark: one tiny repetition proves the
-# closed-loop scenarios and the JSON pipeline work; the committed
-# BENCH_serve.json numbers come from `scripts/bench.sh --serve` on a quiet
-# box, gated by `--check` against bench/baseline_serve.json.
-scripts/bench.sh --serve --smoke build-ci/release
-python3 - <<'PY'
-import json
-doc = json.load(open("build-ci/release/BENCH_serve.smoke.json"))
-assert doc["smoke"] is True
-run = doc["run"]
-for scenario in ("baseline", "batched", "overload"):
-    assert run[scenario]["throughput_rps"] > 0, scenario
-assert run["batched"]["mean_batch"] > 1, "batch former never coalesced"
-print("serve bench smoke: three scenarios ran, JSON well-formed")
-PY
 
 echo "=== static analysis ==="
 scripts/lint.sh build-ci/release

@@ -3,7 +3,7 @@
 // Many client threads submit single-placement feature maps; one serving
 // worker coalesces them into batched forward passes over the N dimension of
 // the tensor stack (the throughput lever: per-op overhead and allocator
-// traffic amortise across the batch, see bench/bench_serve.cpp). The
+// traffic amortise across the batch, see tests/test_perf.cpp). The
 // robustness layer around that hot loop is the point of this module:
 //
 //  * Bounded admission. The queue never grows past max_queue_depth and a

@@ -21,8 +21,8 @@
 //    mutex-protected free list. Blocks may be freed on a different thread
 //    than they were acquired on.
 //  * Observable. hits/misses/releases plus live and cached high-water marks
-//    let tests pin the no-leak bound and let scripts/bench.sh assert the
-//    steady-state allocation count (see "heap_allocs_per_iter").
+//    let tests pin the no-leak bound and the steady-state heap-allocation
+//    bound (test_storage_pool.cpp, PoolSteadyState).
 //  * Escape hatch. MFA_POOL=off (or 0/false) bypasses the free lists: every
 //    acquisition is an exact heap allocation and every release frees it, so
 //    ASan sees raw allocations with full poisoning/quarantine. Numerics are

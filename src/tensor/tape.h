@@ -108,8 +108,7 @@ class Tape {
 
   /// Cumulative count of plan-buffer capacity growths on this thread's tape.
   /// Zero growth over an iteration proves backward() bookkeeping allocates
-  /// nothing in the steady state (bench.sh --check asserts it via
-  /// bench_micro's tape_plan_allocs_per_iter).
+  /// nothing in the steady state (test_tape.cpp asserts it after warm-up).
   std::int64_t plan_grow_events() const { return plan_grow_events_; }
 
  private:

@@ -207,8 +207,8 @@ TEST_P(SparseGradcheck, IndexSelectInnerDim) {
   }
 }
 
-// Instance names: "seq" (the sequential backward walk over pooled storage)
-// or "seq_heap" (storage pool off), then the pool-thread count.
+// Instance names: "seq" when the storage pool is on, "seq_heap" when it is
+// off, then the pool-thread count.
 INSTANTIATE_TEST_SUITE_P(
     ExecThreads, SparseGradcheck,
     ::testing::Combine(::testing::Values(0, 1), ::testing::Values(1, 4)),

@@ -1,13 +1,17 @@
 // Tests for the pooled tensor storage layer (tensor/storage.h): handle
 // semantics, free-list recycling, bit-identical numerics with the pool on
-// vs off, steady-state high-water bounds, grad release during backward(),
-// and a concurrency stress meant to run under the TSan preset too.
+// vs off, steady-state high-water and heap-allocation bounds, grad release
+// during backward(), and a concurrency stress meant to run under the TSan
+// preset too.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -277,6 +281,91 @@ TEST(StoragePool, HighWaterStableAcrossEpochsNoLeak) {
   EXPECT_GT(st.hits, st.misses * 10)
       << "steady-state epochs should almost never touch the heap";
 }
+
+// ---- steady state: the pool removes >= 90% of heap allocations ----
+
+namespace {
+
+/// One repeatable step of each hot path bench_micro times, at its shapes:
+/// a conv train step, the two predictors' inference, and the sparse
+/// scatter (forward + backward) and segment-sum ops over a duplicate-heavy
+/// index of 4096 rows into 1024.
+std::function<void()> hot_path_step(const std::string& name) {
+  Rng rng(2);
+  if (name == "Conv2dTrainStep") {
+    Tensor x = Tensor::randn({4, 8, 64, 64}, rng);
+    Tensor w = Tensor::randn({8, 8, 3, 3}, rng, 0.1f, /*requires_grad=*/true);
+    return [x, w]() mutable {
+      w.zero_grad();
+      Tensor y = ops::conv2d(x, w, Tensor(), 1, 1);
+      ops::sum(ops::mul(y, y)).backward();
+    };
+  }
+  if (name == "PredictLevels" || name == "LhnnPredict") {
+    models::ModelConfig config;
+    config.grid = 32;
+    config.transformer_layers = 1;
+    std::shared_ptr<models::CongestionModel> model = models::make_model(
+        name == "PredictLevels" ? "ours" : "lhnn", config);
+    Tensor x = Tensor::uniform({1, 6, 32, 32}, rng, 0.0f, 1.0f);
+    return [model, x] { model->predict_levels(x); };
+  }
+  const std::int64_t m = 1 << 12;
+  const std::int64_t rows = m / 4;
+  Tensor src = Tensor::randn({m, 16}, rng, 0.5f,
+                             /*requires_grad=*/name == "ScatterAdd");
+  std::vector<float> ids(static_cast<std::size_t>(m));
+  for (auto& id : ids) id = static_cast<float>(rng.uniform_int(0, rows - 1));
+  const Tensor index = Tensor::from_data({m}, std::move(ids));
+  if (name == "ScatterAdd") {
+    return [src, index, rows]() mutable {
+      src.zero_grad();
+      Tensor out = ops::scatter_add_rows(src, index, rows);
+      ops::sum(ops::mul(out, out)).backward();
+    };
+  }
+  return [src, index, rows] {
+    NoGradGuard no_grad;
+    ops::segment_sum(src, index, rows);
+  };
+}
+
+/// Heap allocations (pool misses) over `steps` calls of `step`, after one
+/// warm-up call that fills the free lists.
+std::uint64_t heap_allocs(const std::function<void()>& step, bool pool_on,
+                          int steps) {
+  auto& pool = StoragePool::instance();
+  pool.set_enabled(pool_on);
+  step();
+  pool.reset_stats();
+  for (int i = 0; i < steps; ++i) step();
+  return pool.stats().misses;
+}
+
+class PoolSteadyState : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PoolSteadyState, HeapAllocsAtMostATenthOfPoolOff) {
+  // The pool is toggled in-process, so the check runs whatever MFA_POOL
+  // says (the ASan config runs the suite with the pool off too).
+  PoolEnabledGuard guard;
+  const auto step = hot_path_step(GetParam());
+  constexpr int kSteps = 4;
+  const std::uint64_t on = heap_allocs(step, /*pool_on=*/true, kSteps);
+  const std::uint64_t off = heap_allocs(step, /*pool_on=*/false, kSteps);
+  ASSERT_GT(off, 0u) << "the step allocates nothing even with the pool off";
+  EXPECT_LE(on * 10, off) << "pool on: " << on << " heap allocations over "
+                          << kSteps << " steps, pool off: " << off;
+}
+
+INSTANTIATE_TEST_SUITE_P(BenchMicroShapes, PoolSteadyState,
+                         ::testing::Values("Conv2dTrainStep", "PredictLevels",
+                                           "ScatterAdd", "SegmentSum",
+                                           "LhnnPredict"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+}  // namespace
 
 TEST(StoragePool, BackwardReleasesIntermediateGradsKeepsLeafGrads) {
   Rng rng(3);
