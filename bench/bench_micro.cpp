@@ -170,6 +170,31 @@ void BM_MfaBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_MfaBlock);
 
+/// The first MFA block of the default "ours" model in a training batch: 8
+/// channels at 32 x 32, batch 4, so its position-attention map is
+/// [4, 1024, 1024]. Arg 0 times the forward alone, arg 1 forward+backward.
+void BM_MfaBlockLevel1(benchmark::State& state) {
+  const bool backward = state.range(0) != 0;
+  Rng rng(4);
+  models::MfaBlock block(8, rng);
+  block.train(backward);
+  Tensor x = Tensor::randn({4, 8, 32, 32}, rng);
+  for (auto _ : state) {
+    if (backward) {
+      block.zero_grad();
+      Tensor y = block.forward(x);
+      ops::sum(ops::mul(y, y)).backward();
+      benchmark::DoNotOptimize(y.data());
+    } else {
+      NoGradGuard guard;
+      Tensor y = block.forward(x);
+      benchmark::DoNotOptimize(y.data());
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MfaBlockLevel1)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_TransformerLayer(benchmark::State& state) {
   Rng rng(5);
   nn::TransformerEncoderLayer layer(64, 4, 256, rng);

@@ -4,10 +4,15 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/parallel.h"
+#include "common/sanitize.h"
 #include "tensor/ops.h"
 
 namespace mfa::ops {
 namespace {
+
+// Elements per parallel softmax chunk, at least: smaller maps run inline.
+constexpr std::int64_t kSoftmaxGrainElems = 1 << 15;
 
 // Decomposes a shape around `dim` into [outer, d, inner] so reductions can be
 // expressed as three nested loops over contiguous memory.
@@ -150,45 +155,64 @@ std::vector<std::int64_t> argmax_dim(const Tensor& a, std::int64_t dim) {
 
 Tensor softmax(const Tensor& a, std::int64_t dim) {
   const Split sp = split_at(a, dim);
+  // Rows are independent, so chunks of whole outer slices (one contiguous
+  // [d, inner] block each) run in parallel with each row's arithmetic
+  // unchanged. The grain keeps small maps (MSA's 16 x 16 scores, CAM's
+  // r x r) inline.
+  const std::int64_t slice = sp.d * sp.inner;
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, kSoftmaxGrainElems / std::max<std::int64_t>(1, slice));
   // Fused kernel: softmax backward is y * (g - sum(g*y)).
   Tensor out = Tensor::make_result(
-      a.shape(), {a}, [a, sp](detail::TensorImpl& o) {
+      a.shape(), {a}, [a, sp, slice, grain](detail::TensorImpl& o) {
         auto ai = a.impl();
         if (!ai->requires_grad) return;
         ai->ensure_grad();
         const float* y = o.data.data();
         const float* go = o.grad.data();
         float* ga = ai->grad.data();
-        for (std::int64_t r = 0; r < sp.outer; ++r)
-          for (std::int64_t k = 0; k < sp.inner; ++k) {
-            double dot = 0.0;
-            for (std::int64_t j = 0; j < sp.d; ++j) {
-              const auto ix = (r * sp.d + j) * sp.inner + k;
-              dot += static_cast<double>(go[ix]) * y[ix];
-            }
-            for (std::int64_t j = 0; j < sp.d; ++j) {
-              const auto ix = (r * sp.d + j) * sp.inner + k;
-              ga[ix] += y[ix] * (go[ix] - static_cast<float>(dot));
-            }
-          }
+        parallel_for(
+            sp.outer,
+            [&](std::int64_t r0, std::int64_t r1) {
+              sanitize::note_parallel_write(ga, r0 * slice, r1 * slice);
+              for (std::int64_t r = r0; r < r1; ++r)
+                for (std::int64_t k = 0; k < sp.inner; ++k) {
+                  double dot = 0.0;
+                  for (std::int64_t j = 0; j < sp.d; ++j) {
+                    const auto ix = (r * sp.d + j) * sp.inner + k;
+                    dot += static_cast<double>(go[ix]) * y[ix];
+                  }
+                  for (std::int64_t j = 0; j < sp.d; ++j) {
+                    const auto ix = (r * sp.d + j) * sp.inner + k;
+                    ga[ix] += y[ix] * (go[ix] - static_cast<float>(dot));
+                  }
+                }
+            },
+            grain);
       });
   const float* av = a.data();
   float* ov = out.data();
-  for (std::int64_t r = 0; r < sp.outer; ++r)
-    for (std::int64_t k = 0; k < sp.inner; ++k) {
-      float mx = -std::numeric_limits<float>::infinity();
-      for (std::int64_t j = 0; j < sp.d; ++j)
-        mx = std::max(mx, av[(r * sp.d + j) * sp.inner + k]);
-      double z = 0.0;
-      for (std::int64_t j = 0; j < sp.d; ++j) {
-        const auto ix = (r * sp.d + j) * sp.inner + k;
-        ov[ix] = std::exp(av[ix] - mx);
-        z += ov[ix];
-      }
-      const float inv = static_cast<float>(1.0 / z);
-      for (std::int64_t j = 0; j < sp.d; ++j)
-        ov[(r * sp.d + j) * sp.inner + k] *= inv;
-    }
+  parallel_for(
+      sp.outer,
+      [&](std::int64_t r0, std::int64_t r1) {
+        sanitize::note_parallel_write(ov, r0 * slice, r1 * slice);
+        for (std::int64_t r = r0; r < r1; ++r)
+          for (std::int64_t k = 0; k < sp.inner; ++k) {
+            float mx = -std::numeric_limits<float>::infinity();
+            for (std::int64_t j = 0; j < sp.d; ++j)
+              mx = std::max(mx, av[(r * sp.d + j) * sp.inner + k]);
+            double z = 0.0;
+            for (std::int64_t j = 0; j < sp.d; ++j) {
+              const auto ix = (r * sp.d + j) * sp.inner + k;
+              ov[ix] = std::exp(av[ix] - mx);
+              z += ov[ix];
+            }
+            const float inv = static_cast<float>(1.0 / z);
+            for (std::int64_t j = 0; j < sp.d; ++j)
+              ov[(r * sp.d + j) * sp.inner + k] *= inv;
+          }
+      },
+      grain);
   return out;
 }
 

@@ -17,6 +17,110 @@ std::vector<std::int64_t> contiguous_strides(const Shape& s) {
   return st;
 }
 
+// Edge of the square tiles for a permute that moves the innermost dim. A
+// 64 x 64 float tile is 16 KiB, so the staging copy below stays in L1.
+constexpr std::int64_t kPermuteTile = 64;
+
+// dst = permute(src, dims), or dst += permute(src, dims) when kAdd. dims must
+// be a permutation (permute() checks). Each dst element is written exactly
+// once, so every traversal order below yields the same bits.
+template <bool kAdd>
+void permute_kernel(const float* src, const Shape& src_shape,
+                    const std::vector<std::int64_t>& dims, float* dst) {
+  if (shape_numel(src_shape) == 0) return;
+  // Output dims in order as (size n, source stride s): size-1 dims dropped,
+  // and output neighbours that are also input neighbours merged into one.
+  const auto in_strides = contiguous_strides(src_shape);
+  std::vector<std::int64_t> n, s;
+  for (const std::int64_t dim : dims) {
+    const std::int64_t size = src_shape[static_cast<size_t>(dim)];
+    const std::int64_t stride = in_strides[static_cast<size_t>(dim)];
+    if (size == 1) continue;
+    if (!s.empty() && s.back() == stride * size) {
+      n.back() *= size;
+      s.back() = stride;
+    } else {
+      n.push_back(size);
+      s.push_back(stride);
+    }
+  }
+  const auto put = [](float& o, float v) {
+    if constexpr (kAdd) {
+      o += v;
+    } else {
+      o = v;
+    }
+  };
+  const auto k = static_cast<std::int64_t>(n.size());
+  if (k == 0) {  // a single element
+    put(dst[0], src[0]);
+    return;
+  }
+  std::vector<std::int64_t> os(n.size(), 1);  // output strides
+  for (auto d = k - 2; d >= 0; --d)
+    os[static_cast<size_t>(d)] =
+        os[static_cast<size_t>(d) + 1] * n[static_cast<size_t>(d) + 1];
+  // The input's innermost dim (source stride 1) sits at output dim p.
+  const auto last = static_cast<size_t>(k - 1);
+  const auto p = static_cast<size_t>(
+      std::find(s.begin(), s.end(), std::int64_t{1}) - s.begin());
+  // The loop body covers dims p and last; the other dims step once per run
+  // or tile set (their extents in `ext`, with p and last pinned to 1).
+  std::vector<std::int64_t> ext = n;
+  ext[last] = 1;
+  ext[p] = 1;
+  std::vector<std::int64_t> idx(n.size(), 0);
+  const std::int64_t outer = shape_numel(ext);
+  const std::int64_t nl = n[last];
+  std::int64_t so = 0, dO = 0;
+  alignas(64) float tile[kPermuteTile * kPermuteTile] = {};
+  for (std::int64_t it = 0; it < outer; ++it) {
+    if (p == last) {
+      // The innermost dim stays innermost: one contiguous run.
+      const float* in = src + so;
+      float* o = dst + dO;
+      if constexpr (kAdd) {
+        for (std::int64_t i = 0; i < nl; ++i) o[i] += in[i];
+      } else {
+        std::copy(in, in + nl, o);
+      }
+    } else {
+      // B x B tiles over (p, last). Each tile is first staged row by row
+      // (contiguous reads along p), then written out row by row (contiguous
+      // writes along last): a direct strided walk would touch B lines a
+      // power-of-two stride apart, which share one L1 set.
+      const std::int64_t np = n[p], osp = os[p], sl = s[last];
+      for (std::int64_t i0 = 0; i0 < np; i0 += kPermuteTile) {
+        const std::int64_t i1 = std::min(np, i0 + kPermuteTile);
+        for (std::int64_t j0 = 0; j0 < nl; j0 += kPermuteTile) {
+          const std::int64_t j1 = std::min(nl, j0 + kPermuteTile);
+          for (std::int64_t j = j0; j < j1; ++j) {
+            const float* in = src + so + j * sl;
+            std::copy(in + i0, in + i1, tile + (j - j0) * kPermuteTile);
+          }
+          for (std::int64_t i = i0; i < i1; ++i) {
+            const float* in = tile + (i - i0);
+            float* o = dst + dO + i * osp + j0;
+            for (std::int64_t j = 0; j < j1 - j0; ++j)
+              put(o[j], in[j * kPermuteTile]);
+          }
+        }
+      }
+    }
+    for (auto d = k - 1; d >= 0; --d) {
+      const auto du = static_cast<size_t>(d);
+      if (++idx[du] < ext[du]) {
+        so += s[du];
+        dO += os[du];
+        break;
+      }
+      so -= s[du] * (ext[du] - 1);
+      dO -= os[du] * (ext[du] - 1);
+      idx[du] = 0;
+    }
+  }
+}
+
 }  // namespace
 
 Tensor reshape(const Tensor& a, Shape new_shape) {
@@ -54,46 +158,31 @@ Tensor permute(const Tensor& a, const std::vector<std::int64_t>& dims) {
   const auto nd = a.dim();
   MFA_CHECK_EQ(static_cast<std::int64_t>(dims.size()), nd)
       << " permute: rank mismatch for " << shape_str(a.shape());
+  // dims must hold each of 0..nd-1 exactly once: the kernel indexes the
+  // stride table with them and relies on every element moving exactly once.
+  std::vector<std::int64_t> inv(static_cast<size_t>(nd), -1);
+  for (std::int64_t d = 0; d < nd; ++d) {
+    const std::int64_t src = dims[static_cast<size_t>(d)];
+    MFA_CHECK_BOUNDS(src, nd) << " permute: dim " << d << " of "
+                              << shape_str(a.shape());
+    MFA_CHECK_EQ(inv[static_cast<size_t>(src)], -1)
+        << " permute: dim " << src << " repeats in the permutation of "
+        << shape_str(a.shape());
+    inv[static_cast<size_t>(src)] = d;
+  }
   Shape out_shape(static_cast<size_t>(nd));
   for (std::int64_t d = 0; d < nd; ++d)
     out_shape[static_cast<size_t>(d)] = a.size(dims[static_cast<size_t>(d)]);
-  const auto in_strides = contiguous_strides(a.shape());
-  // src stride for each output dim.
-  std::vector<std::int64_t> src_stride(static_cast<size_t>(nd));
-  for (std::int64_t d = 0; d < nd; ++d)
-    src_stride[static_cast<size_t>(d)] =
-        in_strides[static_cast<size_t>(dims[static_cast<size_t>(d)])];
 
-  // Walks the output in order, producing the source offset odometer-style.
-  auto walk = [out_shape, src_stride, nd](auto&& f) {
-    std::vector<std::int64_t> idx(static_cast<size_t>(nd), 0);
-    std::int64_t src = 0;
-    const std::int64_t n = shape_numel(out_shape);
-    for (std::int64_t i = 0; i < n; ++i) {
-      f(i, src);
-      for (std::int64_t d = nd - 1; d >= 0; --d) {
-        const auto du = static_cast<size_t>(d);
-        ++idx[du];
-        src += src_stride[du];
-        if (idx[du] < out_shape[du]) break;
-        src -= src_stride[du] * out_shape[du];
-        idx[du] = 0;
-      }
-    }
-  };
-
+  // The grad of a permute is the inverse permute of the output's grad.
   Tensor out = Tensor::make_result(
-      out_shape, {a}, [a, walk](detail::TensorImpl& o) {
+      out_shape, {a}, [a, inv](detail::TensorImpl& o) {
         auto ai = a.impl();
         if (!ai->requires_grad) return;
         ai->ensure_grad();
-        const float* go = o.grad.data();
-        float* ga = ai->grad.data();
-        walk([&](std::int64_t i, std::int64_t src) { ga[src] += go[i]; });
+        permute_kernel<true>(o.grad.data(), o.shape, inv, ai->grad.data());
       });
-  const float* av = a.data();
-  float* ov = out.data();
-  walk([&](std::int64_t i, std::int64_t src) { ov[i] = av[src]; });
+  permute_kernel<false>(a.data(), a.shape(), dims, out.data());
   return out;
 }
 

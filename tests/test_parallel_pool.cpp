@@ -153,9 +153,10 @@ TEST(Pool, SurvivesCheckErrorAndStaysReusable) {
 }
 
 TEST(Pool, KernelsBitIdenticalAcrossPoolSizes) {
-  // The GEMM/conv kernels promise a fixed per-element reduction order, so a
-  // size-1 pool (the MFA_THREADS=1 configuration) must reproduce the
-  // parallel results bit for bit — forward and backward.
+  // The GEMM/conv kernels promise a fixed per-element reduction order, and
+  // softmax rows are independent of each other, so a size-1 pool (the
+  // MFA_THREADS=1 configuration) must reproduce the parallel results bit for
+  // bit — forward and backward.
   const auto compute = [] {
     Rng rng(7);
     Tensor a = Tensor::randn({37, 53}, rng);
@@ -167,6 +168,18 @@ TEST(Pool, KernelsBitIdenticalAcrossPoolSizes) {
     x.set_requires_grad(true);
     Tensor y = ops::conv2d(x, w, Tensor(), 1, 1);
     ops::sum(ops::add(ops::mul(y, y), ops::sum(mm))).backward();
+    // Softmax over the last dim and over a middle dim, each large enough
+    // for several row chunks at 4 workers; the weights make the grads
+    // non-trivial.
+    Tensor s_last = Tensor::randn({64, 48, 40}, rng, 3.0f, true);
+    Tensor s_mid = Tensor::randn({256, 40, 12}, rng, 3.0f, true);
+    const Tensor w_last = Tensor::randn(s_last.shape(), rng);
+    const Tensor w_mid = Tensor::randn(s_mid.shape(), rng);
+    Tensor p_last = ops::softmax(s_last, 2);
+    Tensor p_mid = ops::softmax(s_mid, 1);
+    ops::sum(ops::add(ops::sum(ops::mul(p_last, w_last)),
+                      ops::sum(ops::mul(p_mid, w_mid))))
+        .backward();
     std::vector<float> out = y.to_vector();
     const auto append = [&](const Tensor& t) {
       const auto v = t.to_vector();
@@ -176,6 +189,10 @@ TEST(Pool, KernelsBitIdenticalAcrossPoolSizes) {
     append(a.grad());
     append(x.grad());
     append(w.grad());
+    append(p_last);
+    append(p_mid);
+    append(s_last.grad());
+    append(s_mid.grad());
     return out;
   };
   std::vector<float> parallel_result, serial_result;

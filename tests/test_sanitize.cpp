@@ -266,6 +266,28 @@ TEST(SanitizeSchedule, RealScatterOpsReportZeroRacesUnderParallelPool) {
   EXPECT_EQ(c.total(), 0);
 }
 
+TEST(SanitizeSchedule, SoftmaxReportsZeroRacesUnderParallelPool) {
+  if (!sanitize::compiled_in())
+    GTEST_SKIP() << "storage sanitizer compiled out (NDEBUG build)";
+  // softmax splits its rows into chunks of whole outer slices, forward and
+  // backward; with 4 workers and the race checker armed, both shapes below
+  // split into several chunks and every chunk's declared writes must stay
+  // disjoint.
+  const SanitizeEnv env(4);
+  ASSERT_TRUE(sanitize::race_check_active());
+  Rng rng(29);
+  Tensor rows = Tensor::randn({16, 64, 64}, rng, 2.0f, /*requires_grad=*/true);
+  Tensor cols = Tensor::randn({128, 64, 8}, rng, 2.0f, /*requires_grad=*/true);
+  Tensor w_rows = Tensor::randn(rows.shape(), rng);
+  Tensor w_cols = Tensor::randn(cols.shape(), rng);
+  ops::sum(ops::add(ops::sum(ops::mul(ops::softmax(rows, 2), w_rows)),
+                    ops::sum(ops::mul(ops::softmax(cols, 1), w_cols))))
+      .backward();
+  const auto c = sanitize::counts();
+  EXPECT_EQ(c.race, 0) << "declared parallel writes overlap in softmax";
+  EXPECT_EQ(c.total(), 0);
+}
+
 // ---- defect class 4: refcount discipline --------------------------------
 
 TEST_P(SanitizeDetect, DoubleReleaseIsCaught) {

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "common/check.h"
 #include "tensor/ops.h"
@@ -145,6 +146,104 @@ TEST(TensorOps, PermuteNCHWToTokens) {
   ASSERT_EQ(t.shape(), (Shape{1, 4, 2}));
   EXPECT_EQ(t.to_vector(),
             (std::vector<float>{0, 10, 1, 11, 2, 12, 3, 13}));
+}
+
+TEST(TensorOps, PermuteRejectsDimsThatAreNotAPermutation) {
+  // A repeated, negative or out-of-range dim would index past the stride
+  // table or read one input element twice.
+  const Tensor a = Tensor::zeros({4, 2});
+  EXPECT_THROW(permute(a, {0, 0}), check::CheckError);
+  EXPECT_THROW(permute(a, {-1, 0}), check::CheckError);
+  EXPECT_THROW(permute(a, {0, 2}), check::CheckError);
+  EXPECT_THROW(permute(a, {0}), check::CheckError);
+}
+
+// Reference permute: walks the output in order and steps the source offset
+// odometer-style, one element at a time. Calls f(output index, source index).
+template <typename F>
+void odometer_permute(const Shape& in_shape,
+                      const std::vector<std::int64_t>& dims, F f) {
+  const auto nd = static_cast<std::int64_t>(in_shape.size());
+  std::vector<std::int64_t> in_strides(in_shape.size(), 1);
+  for (auto d = nd - 2; d >= 0; --d)
+    in_strides[static_cast<size_t>(d)] =
+        in_strides[static_cast<size_t>(d) + 1] *
+        in_shape[static_cast<size_t>(d) + 1];
+  Shape out_shape(in_shape.size());
+  std::vector<std::int64_t> src_stride(in_shape.size());
+  for (std::int64_t d = 0; d < nd; ++d) {
+    const auto src = static_cast<size_t>(dims[static_cast<size_t>(d)]);
+    out_shape[static_cast<size_t>(d)] = in_shape[src];
+    src_stride[static_cast<size_t>(d)] = in_strides[src];
+  }
+  std::vector<std::int64_t> idx(in_shape.size(), 0);
+  std::int64_t src = 0;
+  const std::int64_t n = shape_numel(out_shape);
+  for (std::int64_t i = 0; i < n; ++i) {
+    f(i, src);
+    for (std::int64_t d = nd - 1; d >= 0; --d) {
+      const auto du = static_cast<size_t>(d);
+      ++idx[du];
+      src += src_stride[du];
+      if (idx[du] < out_shape[du]) break;
+      src -= src_stride[du] * out_shape[du];
+      idx[du] = 0;
+    }
+  }
+}
+
+TEST(TensorOps, PermuteBitIdenticalToOdometerReference) {
+  // The tiled kernel must reproduce the element-wise walk bit for bit, in
+  // the forward copy and in the backward accumulation into a grad that
+  // already holds values. Sizes straddle the 64-wide tile.
+  struct Case {
+    Shape shape;
+    std::vector<std::int64_t> dims;
+  };
+  const std::vector<Case> cases = {
+      {{17, 33}, {1, 0}},
+      {{130, 67}, {1, 0}},
+      {{3, 16, 130}, {0, 2, 1}},
+      {{2, 129, 70}, {0, 2, 1}},
+      {{2, 5, 4, 3}, {0, 2, 1, 3}},
+      {{5, 7, 67}, {2, 0, 1}},
+      {{3, 70, 9}, {2, 1, 0}},   // three dims stay apart
+      {{66, 5, 3}, {1, 2, 0}},   // dims 1, 2 merge: one transpose
+      {{1, 65, 1}, {0, 2, 1}},   // one dim above size 1: a plain copy
+      {{1, 70, 3, 1}, {2, 0, 1, 3}},
+      {{4, 1, 130}, {2, 1, 0}},
+      {{1, 100}, {1, 0}},
+      {{37}, {0}},
+  };
+  Rng rng(12);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(shape_str(c.shape));
+    Tensor a = Tensor::randn(c.shape, rng, 1.0f, /*requires_grad=*/true);
+    const Tensor prefill = Tensor::randn(c.shape, rng);
+    a.impl()->ensure_grad();
+    std::memcpy(a.impl()->grad.data(), prefill.data(),
+                static_cast<size_t>(a.numel()) * sizeof(float));
+    Tensor out = permute(a, c.dims);
+    const Tensor w = Tensor::randn(out.shape(), rng);
+    sum(mul(out, w)).backward();  // d out = w, exactly
+
+    std::vector<float> want(static_cast<size_t>(a.numel()));
+    std::vector<float> want_grad = prefill.to_vector();
+    const float* av = a.data();
+    const float* wv = w.data();
+    odometer_permute(c.shape, c.dims, [&](std::int64_t i, std::int64_t src) {
+      want[static_cast<size_t>(i)] = av[src];
+      want_grad[static_cast<size_t>(src)] += wv[i];
+    });
+    ASSERT_EQ(out.numel(), a.numel());
+    EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0);
+    const Tensor got_grad = a.grad();
+    EXPECT_EQ(std::memcmp(got_grad.data(), want_grad.data(),
+                          want_grad.size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST(TensorOps, ConcatDim1) {
