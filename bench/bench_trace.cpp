@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
   topt.epochs = epochs;
   topt.batch_size = 2;
   topt.seed = seed;
-  topt.resume = false;
   train::Trainer::fit(*model, samples, topt);
 
   // ---- full flow with the trained predictor (flow.* / placer.* /

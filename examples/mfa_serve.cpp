@@ -5,9 +5,9 @@
 //
 //   mfa_serve [model.ckpt]
 //
-// With a checkpoint the serving weights are loaded through the validated
-// snapshot path (a wrong-architecture file is rejected before anything
-// touches the model); without one the demo serves seeded random weights.
+// With a checkpoint the serving weights come from nn::load_checkpoint (a
+// wrong-architecture file is rejected before anything touches the model);
+// without one the demo serves seeded random weights.
 //
 // Knobs (environment variables):
 //   MFA_SERVE_CLIENTS      client threads            (default 4)
@@ -34,6 +34,7 @@
 #include "common/log.h"
 #include "signal_util.h"
 #include "models/congestion_model.h"
+#include "nn/checkpoint.h"
 #include "nn/snapshot.h"
 #include "serve/server.h"
 
@@ -73,11 +74,10 @@ int main(int argc, char** argv) {
   auto model = models::make_model("ours", config);
   if (argc > 1) {
     try {
-      nn::WeightSnapshot snap = nn::load_snapshot(argv[1]);
-      nn::validate_snapshot(snap, model->network());
-      nn::install_snapshot(snap, model->network());
+      nn::CheckpointMeta meta;
+      nn::load_checkpoint(model->network(), argv[1], &meta);
       std::printf("loaded weights from %s (epoch %lld)\n", argv[1],
-                  static_cast<long long>(snap.meta.epoch));
+                  static_cast<long long>(meta.epoch));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: rejected checkpoint %s: %s\n", argv[1],
                    e.what());

@@ -29,11 +29,11 @@
 //     route.budget                   router wall-clock budget reads exhausted
 //     trainer.budget                 trainer wall-clock budget reads exhausted
 //     obs.export                     a metrics snapshot source fails mid-export
-//     checkpoint.transient_io        retryable I/O failure in fsync/rename
 //     serve.queue_full               admission queue reads full (load shed)
 //     serve.batch_failure            serving worker fails mid-batch
 //     serve.swap_corrupt             weight-swap snapshot arrives corrupted
 //     serve.slow_worker              serving worker stalls before the forward
+//     sanitize.redzone_corrupt       storage sanitizer reads a stomped redzone
 #pragma once
 
 #include <cstdint>

@@ -28,8 +28,6 @@ void set_enabled(bool on) {
   enabled_flag().store(on, std::memory_order_relaxed);
 }
 
-#if MFA_OBS_ENABLED
-
 namespace detail {
 
 // Central storage for one counter or gauge. Counters keep the drained /
@@ -409,7 +407,5 @@ void Registry::reset() {
   for (auto& [name, cell] : impl_->histograms) cell.reset();
   impl_->export_errors.store(0, std::memory_order_relaxed);
 }
-
-#endif  // MFA_OBS_ENABLED
 
 }  // namespace mfa::obs

@@ -17,11 +17,9 @@
 //    ThreadPool) register a snapshot source; their stats appear in
 //    metrics_json() without double bookkeeping on their hot paths.
 //  * Near-zero when off. MFA_OBS=off (or 0/false) short-circuits every
-//    record call to one relaxed load + branch; compiling with
-//    -DMFA_OBS_ENABLED=0 stubs the whole subsystem out (mirroring
-//    MFA_POOL / MFA_CHECK). Registration still works when disabled — only
-//    recording is suppressed — so cached cell references stay valid across
-//    enable/disable toggles.
+//    record call to one relaxed load + branch. Registration still works when
+//    disabled — only recording is suppressed — so cached cell references
+//    stay valid across enable/disable toggles.
 //
 // Histogram buckets are fixed log2: bucket 0 holds value 0, bucket b >= 1
 // holds values in [2^(b-1), 2^b - 1]. Values are int64 (negative clamps to
@@ -34,13 +32,6 @@
 #include <utility>
 #include <vector>
 
-/// Compile-time gate. Define MFA_OBS_ENABLED=0 to compile the observability
-/// layer down to no-op stubs (macros expand to nothing, record calls inline
-/// to empty bodies).
-#ifndef MFA_OBS_ENABLED
-#define MFA_OBS_ENABLED 1
-#endif
-
 namespace mfa::obs {
 
 /// Number of log2 histogram buckets (covers the full non-negative int64
@@ -52,8 +43,6 @@ inline constexpr int kHistogramBuckets = 64;
 /// allocates nothing; set_enabled is the test hook.
 bool enabled();
 void set_enabled(bool on);
-
-#if MFA_OBS_ENABLED
 
 namespace detail {
 struct Cell;       // central counter/gauge storage, defined in metrics.cpp
@@ -164,58 +153,5 @@ inline Gauge gauge(const std::string& name) {
 inline Histogram histogram(const std::string& name) {
   return Registry::instance().histogram(name);
 }
-
-#else  // !MFA_OBS_ENABLED — inline no-op stubs with the same surface.
-
-class Counter {
- public:
-  void add(std::int64_t = 1) {}
-  std::int64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  double value() const { return 0.0; }
-};
-
-struct HistogramStats {
-  std::int64_t count = 0;
-  std::int64_t sum = 0;
-  std::int64_t min = 0;
-  std::int64_t max = 0;
-  std::vector<std::int64_t> buckets;
-};
-
-class Histogram {
- public:
-  void record(std::int64_t) {}
-  HistogramStats snapshot() const { return {}; }
-  std::int64_t count() const { return 0; }
-  std::int64_t sum() const { return 0; }
-};
-
-inline int histogram_bucket(std::int64_t) { return 0; }
-
-class Registry {
- public:
-  static Registry& instance() {
-    static Registry r;
-    return r;
-  }
-  Counter counter(const std::string&) { return {}; }
-  Gauge gauge(const std::string&) { return {}; }
-  Histogram histogram(const std::string&) { return {}; }
-  using Source = std::function<std::vector<std::pair<std::string, double>>()>;
-  void register_source(const std::string&, Source) {}
-  std::string metrics_json() { return "{}"; }
-  void reset() {}
-};
-
-inline Counter counter(const std::string&) { return {}; }
-inline Gauge gauge(const std::string&) { return {}; }
-inline Histogram histogram(const std::string&) { return {}; }
-
-#endif  // MFA_OBS_ENABLED
 
 }  // namespace mfa::obs

@@ -9,21 +9,6 @@
 
 namespace mfa::obs {
 
-#if !MFA_OBS_ENABLED
-
-// Even the stubbed build must honour --trace by writing a valid (empty)
-// Chrome trace file, so tooling downstream never sees a missing artifact.
-bool write_chrome_trace(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string doc = chrome_trace_json();
-  bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  ok = (std::fclose(f) == 0) && ok;
-  return ok;
-}
-
-#else  // MFA_OBS_ENABLED
-
 namespace {
 
 struct Slot {
@@ -181,7 +166,5 @@ bool write_chrome_trace(const std::string& path) {
   ok = (std::fclose(f) == 0) && ok;
   return ok;
 }
-
-#endif  // MFA_OBS_ENABLED
 
 }  // namespace mfa::obs

@@ -20,9 +20,8 @@
 // timeline. Timestamps are nanoseconds on the steady clock, zeroed at the
 // first use in the process.
 //
-// Gating matches metrics.h: runtime MFA_OBS env (spans become no-ops), and
-// the MFA_OBS_ENABLED=0 compile gate makes MFA_TRACE_SCOPE expand to
-// nothing. The ring is allocated lazily on the first recorded span, so a
+// Gating matches metrics.h: with the runtime MFA_OBS switch off, spans are
+// no-ops. The ring is allocated lazily on the first recorded span, so a
 // disabled process never pays the buffer.
 #pragma once
 
@@ -42,8 +41,6 @@ struct TraceEvent {
   std::int64_t start_ns = 0;   // steady-clock, relative to process trace epoch
   std::int64_t dur_ns = 0;
 };
-
-#if MFA_OBS_ENABLED
 
 /// Nanoseconds since the process's trace epoch (first call wins).
 std::int64_t trace_now_ns();
@@ -107,26 +104,5 @@ class TraceScope {
       name_lit, &MFA_OBS_CONCAT(mfa_trace_hist_, ctr))
 /// Times the enclosing scope under `name_lit` (must be a string literal).
 #define MFA_TRACE_SCOPE(name_lit) MFA_TRACE_SCOPE_IMPL(name_lit, __COUNTER__)
-
-#else  // !MFA_OBS_ENABLED
-
-inline std::int64_t trace_now_ns() { return 0; }
-inline int trace_thread_id() { return 0; }
-inline void trace_record(const char*, std::int64_t, std::int64_t) {}
-inline std::vector<TraceEvent> trace_snapshot() { return {}; }
-inline std::int64_t trace_total_recorded() { return 0; }
-inline std::size_t trace_capacity() { return 0; }
-inline void trace_reset(std::size_t = 0) {}
-inline std::string chrome_trace_json() { return "{\"traceEvents\":[]}"; }
-bool write_chrome_trace(const std::string& path);
-
-class TraceScope {
- public:
-  explicit TraceScope(const char*, Histogram* = nullptr) {}
-};
-
-#define MFA_TRACE_SCOPE(name_lit) ((void)0)
-
-#endif  // MFA_OBS_ENABLED
 
 }  // namespace mfa::obs

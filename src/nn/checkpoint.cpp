@@ -4,18 +4,14 @@
 #include <unistd.h>
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
-#include "common/backoff.h"
-#include "common/check.h"
 #include "common/fault.h"
 #include "common/log.h"
 #include "nn/snapshot.h"
@@ -40,32 +36,25 @@ std::string serialize(const Module& module, const CheckpointMeta* meta) {
     append_pod<std::int64_t>(image, meta->epoch);
     append_pod<float>(image, meta->learning_rate);
   }
-  const auto params = module.parameters();
-  const auto names = module.parameter_names();
-  MFA_CHECK_EQ(static_cast<std::int64_t>(params.size()),
-               static_cast<std::int64_t>(names.size()))
-      << " save_checkpoint: module reports inconsistent parameter lists";
-  append_pod<std::uint64_t>(image, params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    const auto& name = names[i];
-    const auto& p = params[i];
+  const auto state = module.state();
+  append_pod<std::uint64_t>(image, state.size());
+  for (const auto& [name, t] : state) {
     append_pod<std::uint32_t>(image, static_cast<std::uint32_t>(name.size()));
     image.append(name.data(), name.size());
-    const auto& shape = p.shape();
+    const auto& shape = t.shape();
     append_pod<std::uint32_t>(image, static_cast<std::uint32_t>(shape.size()));
     for (const auto d : shape) append_pod<std::int64_t>(image, d);
-    image.append(reinterpret_cast<const char*>(p.data()),
-                 static_cast<size_t>(p.numel()) * sizeof(float));
+    image.append(reinterpret_cast<const char*>(t.data()),
+                 static_cast<size_t>(t.numel()) * sizeof(float));
   }
-  append_pod<std::uint32_t>(
-      image, crc32(image.data(), image.size()));
+  append_pod<std::uint32_t>(image, crc32(image.data(), image.size()));
   return image;
 }
 
 /// Writes `image` to `path` via temp file + fsync + rename, so the
 /// destination is either the old file or the complete new one at every
 /// instant. The fault point simulates a crash in the vulnerable window.
-void write_atomic_once(const std::string& image, const std::string& path) {
+void write_atomic(const std::string& image, const std::string& path) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0)
@@ -91,51 +80,9 @@ void write_atomic_once(const std::string& image, const std::string& path) {
     throw std::runtime_error(
         "checkpoint: fault-injected crash before rename (temp file left at " +
         tmp + ")");
-  // Transient-I/O simulation: a failure in the fsync/rename window that a
-  // retry of the whole temp-write sequence would clear (NFS hiccup, EINTR
-  // storm). Thrown as CheckError so write_atomic can tell it apart from the
-  // crash simulation above, which must NOT be retried (a "crash" retrying
-  // itself back to health would hide the recovery path under test).
-  if (MFA_FAULT_POINT("checkpoint.transient_io")) {
-    ::unlink(tmp.c_str());
-    throw check::CheckError(
-        "checkpoint: fault-injected transient I/O failure for " + tmp);
-  }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     ::unlink(tmp.c_str());
     throw std::runtime_error("checkpoint: rename to '" + path + "' failed");
-  }
-}
-
-/// write_atomic_once plus a deterministic backoff-retry loop around
-/// transient failures (the checkpoint.transient_io fault point; real-world
-/// analogue: a flaky network filesystem). Crash-simulation and permanent
-/// errors (std::runtime_error) propagate immediately — only the transient
-/// class (CheckError) is retried, up to the budget below.
-void write_atomic(const std::string& image, const std::string& path) {
-  common::BackoffOptions bopt;
-  bopt.base_seconds = 1e-4;  // local-fs retries are cheap; keep tests fast
-  bopt.max_seconds = 5e-3;
-  bopt.max_retries = 3;
-  // Seeded from the path so the delay schedule is reproducible per file but
-  // two writers racing on different files never sync up.
-  common::Backoff backoff(bopt, Rng::hash(path));
-  for (;;) {
-    try {
-      write_atomic_once(image, path);
-      return;
-    } catch (const check::CheckError& transient) {
-      const auto delay = backoff.next_delay_seconds();
-      if (!delay)
-        throw std::runtime_error(
-            std::string("checkpoint: transient I/O failure persisted past ") +
-            std::to_string(bopt.max_retries) +
-            " retries: " + transient.what());
-      log::warn("checkpoint: transient I/O failure (%s); retry %lld in %g s",
-                transient.what(), static_cast<long long>(backoff.retries()),
-                *delay);
-      std::this_thread::sleep_for(std::chrono::duration<double>(*delay));
-    }
   }
 }
 
@@ -152,7 +99,7 @@ void save_impl(const Module& module, const std::string& path,
 // ---- parsing from a memory image ----
 
 /// Bounds-checked cursor over the loaded image; any read past the end means
-/// the file was truncated.
+/// the file was truncated. load_snapshot is its only user.
 class Reader {
  public:
   Reader(const char* data, size_t size) : data_(data), size_(size) {}
@@ -179,38 +126,6 @@ class Reader {
   size_t size_;
   size_t pos_ = 0;
 };
-
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
-  // Table-driven reflected CRC32 (polynomial 0xEDB88320), table built once.
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  const auto* p = static_cast<const unsigned char*>(data);
-  crc ^= 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i)
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
-
-void save_checkpoint(const Module& module, const std::string& path) {
-  save_impl(module, path, nullptr);
-}
-
-void save_checkpoint(const Module& module, const std::string& path,
-                     const CheckpointMeta& meta) {
-  save_impl(module, path, &meta);
-}
-
-namespace {
 
 /// Reads `path` fully and verifies magic + CRC footer before any field is
 /// trusted: a corrupt length or dim would otherwise drive allocation /
@@ -243,106 +158,44 @@ std::string read_verified_image(const std::string& path) {
 
 }  // namespace
 
-CheckpointMeta load_checkpoint_meta(const std::string& path) {
-  const std::string image = read_verified_image(path);
-  Reader r(image.data() + sizeof(kMagic), image.size() - sizeof(kMagic) - 4);
-  const auto has_meta = r.pod<std::uint32_t>();
-  if (has_meta > 1)
-    throw std::runtime_error(
-        log::format("checkpoint: bad metadata flag %u", has_meta));
-  CheckpointMeta parsed;
-  if (has_meta == 1) {
-    parsed.epoch = r.pod<std::int64_t>();
-    parsed.learning_rate = r.pod<float>();
-  }
-  return parsed;
+std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
+  // Table-driven reflected CRC32 (polynomial 0xEDB88320), table built once.
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  const auto* p = static_cast<const unsigned char*>(data);
+  crc ^= 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i)
+    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+void save_checkpoint(const Module& module, const std::string& path) {
+  save_impl(module, path, nullptr);
+}
+
+void save_checkpoint(const Module& module, const std::string& path,
+                     const CheckpointMeta& meta) {
+  save_impl(module, path, &meta);
 }
 
 void load_checkpoint(Module& module, const std::string& path,
                      CheckpointMeta* meta) {
-  const std::string image = read_verified_image(path);
-  Reader r(image.data() + sizeof(kMagic),
-           image.size() - sizeof(kMagic) - 4);
-  const auto has_meta = r.pod<std::uint32_t>();
-  if (has_meta > 1)
-    throw std::runtime_error(
-        log::format("checkpoint: bad metadata flag %u", has_meta));
-  CheckpointMeta parsed;
-  if (has_meta == 1) {
-    parsed.epoch = r.pod<std::int64_t>();
-    parsed.learning_rate = r.pod<float>();
-  }
-
-  auto params = module.parameters();
-  const auto names = module.parameter_names();
-  std::map<std::string, Tensor*> by_name;
-  std::map<std::string, bool> loaded;  // duplicate-entry guard, see below
-  for (size_t i = 0; i < params.size(); ++i) by_name[names[i]] = &params[i];
-
-  const auto count = r.pod<std::uint64_t>();
-  if (count != params.size())
-    throw std::runtime_error(log::format(
-        "checkpoint: parameter count mismatch (file %llu vs module %zu)",
-        static_cast<unsigned long long>(count), params.size()));
-  // Sanity caps: reject obviously corrupt headers before allocating.
-  constexpr std::uint32_t kMaxNameLen = 4096;
-  constexpr std::uint32_t kMaxRank = 16;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto name_len = r.pod<std::uint32_t>();
-    if (name_len == 0 || name_len > kMaxNameLen)
-      throw std::runtime_error(log::format(
-          "checkpoint: implausible name length %u", name_len));
-    const std::string name(r.bytes(name_len, "parameter name"), name_len);
-    const auto rank = r.pod<std::uint32_t>();
-    if (rank > kMaxRank)
-      throw std::runtime_error(
-          log::format("checkpoint: implausible rank %u for '%s'", rank,
-                      name.c_str()));
-    Shape shape(rank);
-    for (auto& d : shape) {
-      d = r.pod<std::int64_t>();
-      if (d < 0)
-        throw std::runtime_error(
-            log::format("checkpoint: negative dim %lld for '%s'",
-                        static_cast<long long>(d), name.c_str()));
-    }
-    const auto it = by_name.find(name);
-    if (it == by_name.end())
-      throw std::runtime_error("checkpoint: unknown parameter '" + name + "'");
-    // Duplicate guard: a file carrying the same name twice passes the count
-    // check while leaving some other parameter silently at its initial
-    // values — a wrong-but-shape-compatible checkpoint must never load.
-    if (loaded[name])
-      throw SnapshotError(
-          SnapshotError::Kind::kDuplicateName,
-          "checkpoint: duplicate parameter entry '" + name + "' in " + path);
-    loaded[name] = true;
-    Tensor& target = *it->second;
-    if (target.shape() != shape)
-      throw std::runtime_error(
-          log::format("checkpoint: shape mismatch for '%s' (file %s vs %s)",
-                      name.c_str(), shape_str(shape).c_str(),
-                      shape_str(target.shape()).c_str()));
-    // The shape matched the module's tensor, so the byte count it implies is
-    // exactly what the target holds; a short image means a cut-off file.
-    MFA_CHECK_EQ(shape_numel(shape), target.numel())
-        << " load_checkpoint: '" << name << "' byte count disagrees with "
-        << shape_str(target.shape());
-    const auto nbytes = static_cast<size_t>(target.numel()) * sizeof(float);
-    std::memcpy(target.data(), r.bytes(nbytes, "tensor data"), nbytes);
-  }
-  // Every parameter was consumed; any remaining byte is trailing garbage
-  // (e.g. a concatenated or corrupt file) and deserves a hard error.
-  if (r.remaining() != 0)
-    throw std::runtime_error(
-        "checkpoint: trailing garbage after last tensor in " + path);
-  if (meta) *meta = parsed;
+  const WeightSnapshot snap = load_snapshot(path);
+  validate_snapshot(snap, module);
+  install_snapshot(snap, module);
+  if (meta) *meta = snap.meta;
 }
 
-// Defined here (declared in nn/snapshot.h) to reuse the verified-image
-// reader: the snapshot path must enforce exactly the same magic / CRC /
-// bounds / sanity-cap discipline as load_checkpoint, just without needing a
-// module of the right architecture to parse into.
+// Declared in nn/snapshot.h, defined here beside the writer so the format
+// lives in one file.
 WeightSnapshot load_snapshot(const std::string& path) {
   const std::string image = read_verified_image(path);
   Reader r(image.data() + sizeof(kMagic), image.size() - sizeof(kMagic) - 4);
@@ -356,14 +209,14 @@ WeightSnapshot load_snapshot(const std::string& path) {
     snap.meta.learning_rate = r.pod<float>();
   }
   const auto count = r.pod<std::uint64_t>();
-  constexpr std::uint64_t kMaxParams = 1u << 20;
+  constexpr std::uint64_t kMaxEntries = 1u << 20;
   constexpr std::uint32_t kMaxNameLen = 4096;
   constexpr std::uint32_t kMaxRank = 16;
-  if (count > kMaxParams)
+  if (count > kMaxEntries)
     throw std::runtime_error(log::format(
-        "checkpoint: implausible parameter count %llu",
+        "checkpoint: implausible entry count %llu",
         static_cast<unsigned long long>(count)));
-  std::map<std::string, bool> seen;
+  std::set<std::string> seen;
   snap.entries.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     SnapshotEntry e;
@@ -371,12 +224,11 @@ WeightSnapshot load_snapshot(const std::string& path) {
     if (name_len == 0 || name_len > kMaxNameLen)
       throw std::runtime_error(
           log::format("checkpoint: implausible name length %u", name_len));
-    e.name.assign(r.bytes(name_len, "parameter name"), name_len);
-    if (seen[e.name])
+    e.name.assign(r.bytes(name_len, "entry name"), name_len);
+    if (!seen.insert(e.name).second)
       throw SnapshotError(
           SnapshotError::Kind::kDuplicateName,
-          "checkpoint: duplicate parameter entry '" + e.name + "' in " + path);
-    seen[e.name] = true;
+          "checkpoint: duplicate entry '" + e.name + "' in " + path);
     const auto rank = r.pod<std::uint32_t>();
     if (rank > kMaxRank)
       throw std::runtime_error(log::format(

@@ -1,5 +1,6 @@
-// Parameter checkpointing: save/load a Module's named parameters to a
-// simple self-describing binary file so a congestion model can be trained
+// Checkpointing: save/load a Module's whole state — its parameters, then
+// its buffers such as batch-norm running statistics (Module::state) — to a
+// simple self-describing binary file, so a congestion model can be trained
 // once and reused across placement runs (or shipped with a release).
 //
 // Crash safety: every save is atomic — the image is serialised in memory,
@@ -11,8 +12,9 @@
 // Format (little-endian):
 //   magic "MFACKPT2"
 //   u32 has_meta; if 1: i64 epoch, f32 learning_rate
-//   u64 parameter count
-//   per parameter: u32 name length, name bytes,
+//   u64 entry count
+//   per entry (parameters first, then buffers, in Module::state order):
+//                  u32 name length, name bytes,
 //                  u32 rank, i64 dims[rank], f32 data[numel]
 //   u32 CRC32 of all preceding bytes
 #pragma once
@@ -32,7 +34,7 @@ struct CheckpointMeta {
   float learning_rate = 0.0f;
 };
 
-/// Writes all parameters of `module` to `path` atomically (temp + fsync +
+/// Writes the state of `module` to `path` atomically (temp + fsync +
 /// rename) with a CRC32 footer. Throws std::runtime_error on I/O failure.
 void save_checkpoint(const Module& module, const std::string& path);
 
@@ -40,21 +42,15 @@ void save_checkpoint(const Module& module, const std::string& path);
 void save_checkpoint(const Module& module, const std::string& path,
                      const CheckpointMeta& meta);
 
-/// Loads parameters into `module`; fills `meta` when non-null (fields keep
-/// their defaults for checkpoints saved without metadata). Every parameter
-/// in the file must match an existing parameter by name and shape (strict),
-/// so architecture changes are caught instead of silently misloaded. The
-/// CRC32 footer is verified before any parsing. Throws std::runtime_error on
-/// corruption, mismatch, or I/O failure.
+/// Loads a checkpoint into `module`: load_snapshot parses the whole file,
+/// validate_snapshot matches its manifest against the module's state, and
+/// only then is the state installed, so a rejected file leaves the module
+/// untouched. Fills `meta` when non-null (fields keep their defaults for
+/// checkpoints saved without metadata). Throws std::runtime_error on I/O
+/// failure or corruption, SnapshotError on a manifest mismatch (including a
+/// file written before checkpoints carried buffers: kCountMismatch).
 void load_checkpoint(Module& module, const std::string& path,
                      CheckpointMeta* meta = nullptr);
-
-/// Reads only the metadata of a checkpoint (magic and CRC32 footer are still
-/// fully verified; no parameters are touched). Lets a resume decide between
-/// candidate checkpoints — e.g. prefer the divergence-rollback last-good
-/// spill over an older periodic snapshot — without loading either into the
-/// module first. Throws std::runtime_error on corruption or I/O failure.
-CheckpointMeta load_checkpoint_meta(const std::string& path);
 
 /// CRC32 (IEEE 802.3, reflected) of `data[0..n)`, continuing from `crc`
 /// (pass 0 to start). Exposed for tests that hand-corrupt checkpoints.

@@ -2,28 +2,27 @@
 
 namespace mfa::nn {
 
-void Module::collect(const std::string& prefix,
-                     std::vector<std::pair<std::string, Tensor>>& out) const {
-  for (const auto& [name, t] : params_) out.emplace_back(prefix + name, t);
+void Module::collect(const std::string& prefix, bool buffers,
+                     std::vector<NamedTensor>& out) const {
+  for (const auto& [name, t] : buffers ? buffers_ : params_)
+    out.emplace_back(prefix + name, t);
   for (const auto& [name, child] : children_)
-    child->collect(prefix + name + ".", out);
+    child->collect(prefix + name + ".", buffers, out);
 }
 
 std::vector<Tensor> Module::parameters() const {
-  std::vector<std::pair<std::string, Tensor>> named;
-  collect("", named);
+  std::vector<NamedTensor> named;
+  collect("", false, named);
   std::vector<Tensor> out;
   out.reserve(named.size());
   for (auto& [name, t] : named) out.push_back(t);
   return out;
 }
 
-std::vector<std::string> Module::parameter_names() const {
-  std::vector<std::pair<std::string, Tensor>> named;
-  collect("", named);
-  std::vector<std::string> out;
-  out.reserve(named.size());
-  for (auto& [name, t] : named) out.push_back(name);
+std::vector<NamedTensor> Module::state() const {
+  std::vector<NamedTensor> out;
+  collect("", false, out);
+  collect("", true, out);
   return out;
 }
 

@@ -1,5 +1,6 @@
-// Module base class: a named tree of parameters and sub-modules, mirroring
-// the torch.nn.Module contract the paper's PyTorch reference relies on.
+// Module base class: a named tree of parameters, buffers and sub-modules,
+// mirroring the torch.nn.Module contract the paper's PyTorch reference
+// relies on.
 #pragma once
 
 #include <memory>
@@ -10,6 +11,10 @@
 #include "tensor/tensor.h"
 
 namespace mfa::nn {
+
+/// One entry of a module's state: qualified name ("0.weight",
+/// "enc.bn.running_mean") and the tensor it names.
+using NamedTensor = std::pair<std::string, Tensor>;
 
 class Module {
  public:
@@ -23,8 +28,11 @@ class Module {
 
   /// All trainable parameters, depth first (stable order across runs).
   std::vector<Tensor> parameters() const;
-  /// Parameter names aligned with parameters(), for checkpoints/debugging.
-  std::vector<std::string> parameter_names() const;
+  /// The whole state by qualified name: every parameter (in parameters()
+  /// order), then every registered buffer (e.g. batch-norm running
+  /// statistics), depth first. Checkpoints, weight snapshots and the
+  /// trainer's rollback copy all walk this list.
+  std::vector<NamedTensor> state() const;
   std::int64_t num_parameters() const;
 
   /// Switches train/eval mode for this module and all children (affects
@@ -47,11 +55,12 @@ class Module {
   }
 
  private:
-  void collect(const std::string& prefix,
-               std::vector<std::pair<std::string, Tensor>>& out) const;
+  /// Appends this subtree's parameters (or, with `buffers`, its buffers).
+  void collect(const std::string& prefix, bool buffers,
+               std::vector<NamedTensor>& out) const;
 
-  std::vector<std::pair<std::string, Tensor>> params_;
-  std::vector<std::pair<std::string, Tensor>> buffers_;
+  std::vector<NamedTensor> params_;
+  std::vector<NamedTensor> buffers_;
   std::vector<std::pair<std::string, std::shared_ptr<Module>>> children_;
   bool training_ = true;
 };

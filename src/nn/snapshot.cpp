@@ -26,44 +26,36 @@ std::int64_t WeightSnapshot::total_floats() const {
 }
 
 WeightSnapshot snapshot_parameters(const Module& module) {
-  const auto params = module.parameters();
-  const auto names = module.parameter_names();
-  MFA_CHECK_EQ(static_cast<std::int64_t>(params.size()),
-               static_cast<std::int64_t>(names.size()))
-      << " snapshot_parameters: module reports inconsistent parameter lists";
   WeightSnapshot snap;
-  snap.entries.reserve(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
+  for (const auto& [name, t] : module.state()) {
     SnapshotEntry e;
-    e.name = names[i];
-    e.shape = params[i].shape();
-    e.data.copy_from(params[i].data(), params[i].numel());
+    e.name = name;
+    e.shape = t.shape();
+    e.data.copy_from(t.data(), t.numel());
     snap.entries.push_back(std::move(e));
   }
   return snap;
 }
 
 void validate_snapshot(const WeightSnapshot& snapshot, const Module& module) {
-  const auto params = module.parameters();
-  const auto names = module.parameter_names();
-  if (snapshot.entries.size() != params.size())
+  const auto state = module.state();
+  if (snapshot.entries.size() != state.size())
     throw SnapshotError(
         SnapshotError::Kind::kCountMismatch,
-        log::format("snapshot: %zu entries vs %zu model parameters",
-                    snapshot.entries.size(), params.size()));
+        log::format("snapshot: %zu entries vs %zu model state tensors",
+                    snapshot.entries.size(), state.size()));
   std::map<std::string, const Tensor*> by_name;
-  for (size_t i = 0; i < params.size(); ++i) by_name[names[i]] = &params[i];
+  for (const auto& [name, t] : state) by_name[name] = &t;
   std::set<std::string> seen;
   for (const auto& e : snapshot.entries) {
     if (!seen.insert(e.name).second)
-      throw SnapshotError(
-          SnapshotError::Kind::kDuplicateName,
-          "snapshot: duplicate parameter entry '" + e.name + "'");
+      throw SnapshotError(SnapshotError::Kind::kDuplicateName,
+                          "snapshot: duplicate entry '" + e.name + "'");
     const auto it = by_name.find(e.name);
     if (it == by_name.end())
       throw SnapshotError(
           SnapshotError::Kind::kUnknownParameter,
-          "snapshot: entry '" + e.name + "' names no model parameter");
+          "snapshot: entry '" + e.name + "' names nothing in the model");
     const Tensor& target = *it->second;
     if (e.shape.size() != target.shape().size())
       throw SnapshotError(
@@ -83,28 +75,25 @@ void validate_snapshot(const WeightSnapshot& snapshot, const Module& module) {
                       shape_str(e.shape).c_str()));
   }
   // Count equal + every entry distinct and resolved => the mapping is a
-  // bijection; no model parameter can be left unpublished.
+  // bijection; no tensor of the model's state can be left unpublished.
 }
 
 void install_snapshot(const WeightSnapshot& snapshot, Module& module) {
-  const auto params = module.parameters();
-  const auto names = module.parameter_names();
+  const auto state = module.state();
   MFA_CHECK_EQ(static_cast<std::int64_t>(snapshot.entries.size()),
-               static_cast<std::int64_t>(params.size()))
+               static_cast<std::int64_t>(state.size()))
       << " install_snapshot: run validate_snapshot first";
-  std::map<std::string, Tensor> by_name;
-  for (size_t i = 0; i < params.size(); ++i)
-    by_name.emplace(names[i], params[i]);
+  const std::map<std::string, Tensor> by_name(state.begin(), state.end());
   for (const auto& e : snapshot.entries) {
     const auto it = by_name.find(e.name);
     MFA_CHECK(it != by_name.end())
-        << " install_snapshot: unknown parameter '" << e.name
+        << " install_snapshot: unknown entry '" << e.name
         << "' (run validate_snapshot first)";
     auto impl = it->second.impl();
     MFA_CHECK_EQ(static_cast<std::int64_t>(e.data.size()),
                  static_cast<std::int64_t>(impl->data.size()))
         << " install_snapshot: size mismatch for '" << e.name << "'";
-    // Share the block: the parameter now reads the snapshot's floats.
+    // Share the block: the module now reads the snapshot's floats.
     impl->data = e.data;
   }
 }

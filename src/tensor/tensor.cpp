@@ -173,8 +173,8 @@ void Tensor::backward() {
       << " backward() requires a scalar root, got shape "
       << shape_str(impl_->shape);
   // The calling thread's tape owns the recorded graph; it plans the
-  // reverse-topological schedule, runs the closures (sequentially or
-  // level-parallel, see tensor/tape.h), and retires the whole tape.
+  // reverse-topological schedule, runs the closures one after another (see
+  // tensor/tape.h), and retires the whole tape.
   tensor::Tape::current().execute_backward(impl_);
 }
 

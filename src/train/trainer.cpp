@@ -46,10 +46,6 @@ std::string checkpoint_path(const std::string& dir, std::int64_t epoch) {
       .string();
 }
 
-std::string last_good_path(const std::string& dir) {
-  return (fs::path(dir) / "last-good.bin").string();
-}
-
 std::string resume_from(nn::Module& module, const std::string& dir,
                         nn::CheckpointMeta* meta) {
   std::error_code ec;
@@ -126,64 +122,40 @@ FitReport Trainer::fit_resumable(models::CongestionModel& model,
   std::int64_t start_epoch = 0;
   if (!options.checkpoint_dir.empty()) {
     fs::create_directories(options.checkpoint_dir);
-    if (options.resume) {
-      nn::CheckpointMeta meta;
-      const auto loaded = resume_from(net, options.checkpoint_dir, &meta);
-      if (!loaded.empty()) {
-        start_epoch = meta.epoch + 1;
-        if (meta.learning_rate > 0.0f) lr = meta.learning_rate;
-        log::info("%s resuming from %s (epoch %lld, lr %g)", model.name(),
-                  loaded.c_str(), static_cast<long long>(meta.epoch),
-                  static_cast<double>(lr));
-      }
-      // Prefer the last-good spill when it is ahead of the periodic snapshot
-      // (it is written every healthy epoch, so after a crash it usually is).
-      // Peek the metadata first: blindly loading an *older* spill would
-      // clobber the newer parameters already in the module.
-      const std::string lg = last_good_path(options.checkpoint_dir);
-      std::error_code lg_ec;
-      if (options.spill_last_good && fs::is_regular_file(lg, lg_ec)) {
-        try {
-          const nn::CheckpointMeta lgm = nn::load_checkpoint_meta(lg);
-          if (lgm.epoch + 1 > start_epoch) {
-            nn::load_checkpoint(net, lg);
-            start_epoch = lgm.epoch + 1;
-            if (lgm.learning_rate > 0.0f) lr = lgm.learning_rate;
-            log::info("%s resuming from last-good spill %s (epoch %lld, "
-                      "lr %g)",
-                      model.name(), lg.c_str(),
-                      static_cast<long long>(lgm.epoch),
-                      static_cast<double>(lr));
-          }
-        } catch (const std::exception& e) {
-          log::warn("fit: rejecting last-good spill %s (%s)", lg.c_str(),
-                    e.what());
-        }
-      }
+    nn::CheckpointMeta meta;
+    const auto loaded = resume_from(net, options.checkpoint_dir, &meta);
+    if (!loaded.empty()) {
+      start_epoch = meta.epoch + 1;
+      if (meta.learning_rate > 0.0f) lr = meta.learning_rate;
+      log::info("%s resuming from %s (epoch %lld, lr %g)", model.name(),
+                loaded.c_str(), static_cast<long long>(meta.epoch),
+                static_cast<double>(lr));
     }
   }
   report.start_epoch = start_epoch;
 
-  auto params = net.parameters();
-  // Last-good snapshot for divergence rollback: the parameters after the
-  // most recent healthy epoch (initially the starting weights). Held in
-  // pooled Storage that copy_from refills in place, so re-snapshotting every
-  // epoch allocates nothing after the first.
-  std::vector<tensor::Storage> good(params.size());
+  // Last-good state for divergence rollback: the parameters and batch-norm
+  // statistics after the most recent healthy epoch (initially the starting
+  // state). A deep copy, since the optimizer and the forward passes write
+  // the live tensors in place; held in pooled Storage that copy_from refills
+  // in place, so re-snapshotting every epoch allocates nothing after the
+  // first.
+  auto state = net.state();
+  std::vector<tensor::Storage> good(state.size());
   double good_loss = 0.0;
   bool have_good_loss = false;
   const auto snapshot = [&] {
-    for (size_t i = 0; i < params.size(); ++i)
-      good[i].copy_from(params[i].data(), params[i].numel());
+    for (size_t i = 0; i < state.size(); ++i)
+      good[i].copy_from(state[i].second.data(), state[i].second.numel());
   };
   const auto restore = [&] {
-    for (size_t i = 0; i < params.size(); ++i) {
-      std::copy(good[i].begin(), good[i].end(), params[i].data());
-      params[i].zero_grad();
-    }
+    for (size_t i = 0; i < state.size(); ++i)
+      std::copy(good[i].begin(), good[i].end(), state[i].second.data());
+    net.zero_grad();
   };
   snapshot();
 
+  auto params = net.parameters();
   auto optimizer = std::make_unique<nn::Adam>(params, lr);
   std::vector<size_t> order(train_set.size());
 
@@ -203,7 +175,6 @@ FitReport Trainer::fit_resumable(models::CongestionModel& model,
   static obs::Counter obs_batches = obs::counter("trainer.batches");
   static obs::Counter obs_rollbacks = obs::counter("trainer.rollbacks");
   static obs::Counter obs_checkpoints = obs::counter("trainer.checkpoints");
-  static obs::Counter obs_spills = obs::counter("trainer.spills");
   static obs::Gauge obs_loss = obs::gauge("trainer.loss");
   std::int64_t epoch = start_epoch;
   while (epoch < options.epochs) {
@@ -312,10 +283,7 @@ FitReport Trainer::fit_resumable(models::CongestionModel& model,
       log::info("%s epoch %lld/%lld loss %.4f", model.name(),
                 static_cast<long long>(epoch + 1),
                 static_cast<long long>(options.epochs), epoch_loss);
-    if (!options.checkpoint_dir.empty() &&
-        ((epoch + 1) % std::max<std::int64_t>(1, options.checkpoint_interval)
-             == 0 ||
-         epoch == options.epochs - 1)) {
+    if (!options.checkpoint_dir.empty()) {
       nn::CheckpointMeta meta;
       meta.epoch = epoch;
       meta.learning_rate = lr;
@@ -323,17 +291,6 @@ FitReport Trainer::fit_resumable(models::CongestionModel& model,
                           meta);
       ++report.checkpoints_written;
       obs_checkpoints.add();
-    }
-    if (!options.checkpoint_dir.empty() && options.spill_last_good) {
-      // Crash-survivable rollback state: the in-memory `good` snapshot dies
-      // with the process, so mirror it to disk after every healthy epoch via
-      // the same atomic CRC-checked writer as the periodic checkpoints.
-      nn::CheckpointMeta meta;
-      meta.epoch = epoch;
-      meta.learning_rate = lr;
-      nn::save_checkpoint(net, last_good_path(options.checkpoint_dir), meta);
-      ++report.last_good_spills;
-      obs_spills.add();
     }
     ++epoch;
   }
@@ -349,14 +306,12 @@ std::string FitReport::metrics_json() const {
   out += log::format(
       "\"final_loss\":%.17g,\"epochs_run\":%lld,\"start_epoch\":%lld,"
       "\"rollbacks\":%lld,\"checkpoints_written\":%lld,\"diverged\":%s,"
-      "\"budget_exhausted\":%s,\"final_learning_rate\":%.9g,"
-      "\"last_good_spills\":%lld",
+      "\"budget_exhausted\":%s,\"final_learning_rate\":%.9g",
       final_loss, static_cast<long long>(epochs_run),
       static_cast<long long>(start_epoch), static_cast<long long>(rollbacks),
       static_cast<long long>(checkpoints_written),
       diverged ? "true" : "false", budget_exhausted ? "true" : "false",
-      static_cast<double>(final_learning_rate),
-      static_cast<long long>(last_good_spills));
+      static_cast<double>(final_learning_rate));
   out += "},\"metrics\":";
   out += obs::Registry::instance().metrics_json();
   out += "}";

@@ -2,11 +2,11 @@
 // per-tile cross-entropy over the congestion-level classes (§III-D).
 //
 // Fault tolerance (see DESIGN.md, "Fault model"): with a checkpoint_dir set,
-// fit() writes atomic CRC-checked snapshots every checkpoint_interval epochs
+// fit() writes an atomic CRC-checked checkpoint after every healthy epoch
 // and resumes from the latest valid one after a crash; a diverging epoch
 // (non-finite or spiking loss, or a CheckError out of the numeric stack)
-// rolls the parameters back to the last good snapshot and halves the
-// learning rate, up to max_rollbacks times.
+// rolls the model state (parameters and batch-norm statistics) back to the
+// last good epoch and halves the learning rate, up to max_rollbacks times.
 #pragma once
 
 #include <cstdint>
@@ -27,25 +27,16 @@ struct TrainOptions {
   std::uint64_t seed = 1;
   bool verbose = false;
   // ---- crash-safe training ----
-  /// Directory for epoch snapshots (created if missing); empty disables
-  /// checkpointing and resume.
+  /// Directory for per-epoch checkpoints (created if missing). When set,
+  /// fit resumes from the newest valid checkpoint-NNNNN.bin in it and writes
+  /// one after every healthy epoch; empty disables both.
   std::string checkpoint_dir;
-  /// Epochs between snapshots.
-  std::int64_t checkpoint_interval = 1;
-  /// Scan checkpoint_dir for the latest valid snapshot before training and
-  /// continue from the epoch after it.
-  bool resume = true;
   // ---- divergence rollback ----
   /// An epoch whose mean loss exceeds divergence_factor x the last good
   /// epoch's loss (or is non-finite) is rolled back.
   double divergence_factor = 3.0;
   /// Rollback retries before giving up (each halves the learning rate).
   std::int64_t max_rollbacks = 3;
-  /// With a checkpoint_dir set, also spill the last-good snapshot to
-  /// last-good.bin after every healthy epoch (atomic v2 writer), so
-  /// divergence rollback state survives a crash: resume prefers the spill
-  /// over an older periodic checkpoint.
-  bool spill_last_good = true;
   // ---- wall-clock budget ----
   /// Budget for the whole fit (0 = unlimited), checked at epoch boundaries
   /// like the placer/router budgets: the epoch in flight when the clock runs
@@ -67,14 +58,12 @@ struct FitReport {
   std::int64_t start_epoch = 0;  // > 0 when resumed from a checkpoint
   std::int64_t rollbacks = 0;
   std::int64_t checkpoints_written = 0;
-  /// True when max_rollbacks was exhausted; parameters are left at the last
-  /// good snapshot rather than the diverged state.
+  /// True when max_rollbacks was exhausted; the model state is left at the
+  /// last good epoch rather than the diverged state.
   bool diverged = false;
   /// True when time_budget_seconds stopped training before options.epochs.
   bool budget_exhausted = false;
   float final_learning_rate = 0.0f;
-  /// last-good.bin writes performed (one per healthy epoch when enabled).
-  std::int64_t last_good_spills = 0;
 
   /// JSON view of this report plus the process metrics registry snapshot:
   /// {"report":{...},"metrics":{...}}. The metrics half carries the obs
@@ -110,12 +99,8 @@ class Trainer {
 std::string resume_from(nn::Module& module, const std::string& dir,
                         nn::CheckpointMeta* meta = nullptr);
 
-/// Path of the snapshot for `epoch` inside `dir` (checkpoint-NNNNN.bin).
+/// Path of the checkpoint for `epoch` inside `dir` (checkpoint-NNNNN.bin).
 std::string checkpoint_path(const std::string& dir, std::int64_t epoch);
-
-/// Path of the divergence-rollback last-good spill inside `dir`
-/// (last-good.bin; see TrainOptions::spill_last_good).
-std::string last_good_path(const std::string& dir);
 
 /// Stacks samples [i0, i1) into batched feature [B,6,H,W] and label [B,H,W]
 /// tensors (exposed for tests).

@@ -97,7 +97,6 @@ PipelineHashes run_pipeline_hash() {
   topt.epochs = 2;
   topt.batch_size = 2;
   topt.seed = 1;
-  topt.resume = false;
   train::Trainer::fit(*model, samples, topt);
 
   // ---- stage 3: place, predict, inflate, place more ----
@@ -280,7 +279,6 @@ std::uint64_t run_lhnn_hash(const std::vector<train::Sample>& samples) {
   topt.epochs = 2;
   topt.batch_size = 2;
   topt.seed = 1;
-  topt.resume = false;
   train::Trainer::fit(*model, samples, topt);
 
   Tensor batched = ops::reshape(

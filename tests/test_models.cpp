@@ -52,13 +52,11 @@ TEST(Blocks, MfaBlockGainsReceiveGradient) {
   sum(mul(y, y)).backward();
   // alpha/beta are the 2 scalar params; after one backward they have grads
   // flowing (possibly tiny but defined).
-  const auto params = block.parameters();
-  const auto names = block.parameter_names();
   bool saw_alpha = false;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == "alpha" || names[i] == "beta") {
+  for (const auto& [name, p] : block.state()) {
+    if (name == "alpha" || name == "beta") {
       saw_alpha = true;
-      EXPECT_EQ(params[i].numel(), 1);
+      EXPECT_EQ(p.numel(), 1);
     }
   }
   EXPECT_TRUE(saw_alpha);

@@ -85,10 +85,14 @@ TEST(NnLayers, ParameterNamesAreQualified) {
   Rng rng(6);
   auto seq = std::make_shared<Sequential>();
   seq->add(std::make_shared<Conv2d>(1, 2, 3, rng));
-  const auto names = seq->parameter_names();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "0.weight");
-  EXPECT_EQ(names[1], "0.bias");
+  seq->add(std::make_shared<BatchNorm2d>(2));
+  std::vector<std::string> names;
+  for (const auto& [name, t] : seq->state()) names.push_back(name);
+  // Every parameter (in parameters() order), then the buffers.
+  EXPECT_EQ(names, (std::vector<std::string>{"0.weight", "0.bias", "1.weight",
+                                             "1.bias", "1.running_mean",
+                                             "1.running_var"}));
+  EXPECT_EQ(seq->parameters().size(), 4u);
 }
 
 TEST(NnLayers, ZeroGradClearsAllParams) {

@@ -366,7 +366,6 @@ TEST_P(SanitizeDetect, CleanTwoEpochTrainReportsZeroViolations) {
   topt.epochs = 2;
   topt.batch_size = 2;
   topt.seed = 1;
-  topt.resume = false;
   sanitize::reset_counts();
   train::Trainer::fit(*model, samples, topt);
   StoragePool::instance().verify_cached_guards();

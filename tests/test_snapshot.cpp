@@ -13,7 +13,9 @@
 
 #include "models/congestion_model.h"
 #include "nn/checkpoint.h"
+#include "synthetic_samples.h"
 #include "tensor/ops.h"
+#include "train/trainer.h"
 
 namespace mfa::nn {
 namespace {
@@ -37,8 +39,18 @@ Tensor small_features(std::uint64_t seed = 3) {
   return Tensor::uniform({1, 6, 16, 16}, rng, 0.0f, 1.0f);
 }
 
+/// Trains `model` for one epoch on synthetic 16x16 samples, so its batch-norm
+/// running statistics move away from a fresh model's.
+void train_one_epoch(models::CongestionModel& model) {
+  train::TrainOptions options;
+  options.epochs = 1;
+  options.batch_size = 2;
+  train::Trainer::fit(model, test_util::synthetic_samples(4, 16, 9), options);
+}
+
 TEST(Snapshot, RoundTripsParametersBetweenModels) {
   auto a = models::make_model("ours", small_config(11));
+  train_one_epoch(*a);
   auto b = models::make_model("ours", small_config(22));  // different init
   const Tensor features = small_features();
   const auto before = b->predict_levels(features).to_vector();
@@ -57,16 +69,15 @@ TEST(Snapshot, InstallSharesStorageWithoutCopying) {
   auto model = models::make_model("ours", small_config());
   WeightSnapshot snap = snapshot_parameters(model->network());
   install_snapshot(snap, model->network());
-  // After install the module's parameters read the snapshot's blocks: same
+  // After install the module's state reads the snapshot's blocks: same
   // underlying pointer, not a float copy.
-  const auto params = model->network().parameters();
-  const auto names = model->network().parameter_names();
-  for (const auto& e : snap.entries) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      if (names[i] != e.name) continue;
-      EXPECT_EQ(params[i].impl()->data.data(), e.data.data())
-          << "parameter '" << e.name << "' was copied, not shared";
-    }
+  const auto state = model->network().state();
+  ASSERT_EQ(state.size(), snap.entries.size());
+  for (size_t i = 0; i < state.size(); ++i) {
+    EXPECT_EQ(state[i].first, snap.entries[i].name);
+    EXPECT_EQ(state[i].second.impl()->data.data(),
+              snap.entries[i].data.data())
+        << "'" << state[i].first << "' was copied, not shared";
   }
 }
 
@@ -257,7 +268,8 @@ TEST(Checkpoint, LoadCheckpointRejectsDuplicateEntries) {
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.kind(), SnapshotError::Kind::kDuplicateName);
   }
-  // b was never touched by the rejected load.
+  // Neither w nor b was touched by the rejected load.
+  EXPECT_EQ(module.w.to_vector(), (std::vector<float>{0.0f, 0.0f}));
   EXPECT_EQ(module.b.to_vector(), (std::vector<float>{0.0f, 0.0f}));
 
   // The equivalent well-formed file still loads.

@@ -3,11 +3,13 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <string>
 
 #include "common/check.h"
 #include "common/fault.h"
 #include "nn/layers.h"
+#include "synthetic_samples.h"
 #include "train/dataset.h"
 #include "train/metrics.h"
 #include "train/trainer.h"
@@ -29,20 +31,9 @@ struct TempDir {
   std::string path;
 };
 
-/// Synthetic per-pixel dataset (labels follow a thresholded feature channel).
+/// Synthetic per-pixel dataset at the 32x32 grid of tiny_config().
 std::vector<Sample> synthetic_samples(int n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Sample> samples;
-  for (int i = 0; i < n; ++i) {
-    Sample s;
-    s.features = Tensor::uniform({6, 32, 32}, rng, 0.0f, 1.0f);
-    s.label = Tensor::zeros({32, 32});
-    const float* rudy = s.features.data() + 3 * 32 * 32;
-    for (std::int64_t j = 0; j < 32 * 32; ++j)
-      s.label.data()[j] = rudy[j] > 0.5f ? 2.0f : 0.0f;
-    samples.push_back(std::move(s));
-  }
-  return samples;
+  return test_util::synthetic_samples(n, 32, seed);
 }
 
 models::ModelConfig tiny_config() {
@@ -437,98 +428,93 @@ TEST(Trainer, BudgetFaultPointStopsFitImmediately) {
   EXPECT_EQ(report.epochs_run, 0);
 }
 
-TEST(Trainer, LastGoodSpillWrittenEveryHealthyEpochAndUsedOnResume) {
+TEST(Trainer, CheckpointWrittenEveryHealthyEpochAndUsedOnResume) {
   const auto samples = synthetic_samples(4, 3);
   auto model = models::make_model("unet", tiny_config());
-  TempDir dir("spill");
+  TempDir dir("per_epoch");
   TrainOptions options;
   options.epochs = 3;
   options.batch_size = 2;
   options.learning_rate = 5e-3f;
-  // A huge interval keeps periodic snapshots away except the final-epoch
-  // one, isolating the last-good spill.
-  options.checkpoint_interval = 100;
   options.checkpoint_dir = dir.path;
   const auto first = Trainer::fit_resumable(*model, samples, options);
-  EXPECT_EQ(first.last_good_spills, 3);
-  EXPECT_TRUE(fs::exists(last_good_path(dir.path)));
-  // Simulate a crash that lost the periodic final-epoch checkpoint but not
-  // the per-epoch spill: resume must pick the spill up and skip straight to
-  // epoch 3.
-  fs::remove(checkpoint_path(dir.path, 2));
+  EXPECT_EQ(first.checkpoints_written, 3);
+  for (std::int64_t epoch = 0; epoch < 3; ++epoch)
+    EXPECT_TRUE(fs::exists(checkpoint_path(dir.path, epoch))) << epoch;
+  // One file per healthy epoch and nothing else.
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir.path),
+                          fs::directory_iterator{}),
+            3);
+  // A restarted run picks up after the newest checkpoint.
   auto restarted = models::make_model("unet", tiny_config());
   options.epochs = 5;
   const auto second = Trainer::fit_resumable(*restarted, samples, options);
-  EXPECT_EQ(second.start_epoch, 3)
-      << "resume should have adopted the last-good spill";
+  EXPECT_EQ(second.start_epoch, 3);
   EXPECT_EQ(second.epochs_run, 2);
+  EXPECT_TRUE(fs::exists(checkpoint_path(dir.path, 4)));
 }
 
-TEST(Trainer, LastGoodSpillDisabledWritesNothing) {
-  const auto samples = synthetic_samples(4, 3);
-  auto model = models::make_model("unet", tiny_config());
-  TempDir dir("nospill");
-  TrainOptions options;
-  options.epochs = 2;
-  options.batch_size = 2;
-  options.checkpoint_dir = dir.path;
-  options.spill_last_good = false;
-  const auto report = Trainer::fit_resumable(*model, samples, options);
-  EXPECT_EQ(report.last_good_spills, 0);
-  EXPECT_FALSE(fs::exists(last_good_path(dir.path)));
-}
-
-TEST(Trainer, StaleLastGoodSpillDoesNotClobberNewerCheckpoint) {
-  const auto samples = synthetic_samples(4, 3);
-  auto model = models::make_model("unet", tiny_config());
-  TempDir dir("stale");
-  TrainOptions options;
-  options.epochs = 2;
-  options.batch_size = 2;
-  options.checkpoint_dir = dir.path;
-  Trainer::fit_resumable(*model, samples, options);
-  // Age the spill: make it claim an older epoch than the newest periodic
-  // checkpoint (epoch 1). Resume must ignore it.
-  nn::CheckpointMeta stale;
-  stale.epoch = 0;
-  stale.learning_rate = 99.0f;
-  nn::save_checkpoint(model->network(), last_good_path(dir.path), stale);
-  auto restarted = models::make_model("unet", tiny_config());
-  options.epochs = 4;
-  const auto report = Trainer::fit_resumable(*restarted, samples, options);
-  EXPECT_EQ(report.start_epoch, 2)
-      << "the newer periodic checkpoint must win over a stale spill";
-  EXPECT_NE(report.final_learning_rate, 99.0f);
-}
-
-TEST(Trainer, CrashMidEpochRecoversFromSpillAlone) {
+TEST(Trainer, CrashInLastEpochResumesAtThatEpoch) {
   if (!common::FaultInjector::compiled_in())
     GTEST_SKIP() << "fault injection compiled out (Release build)";
   auto& fi = common::FaultInjector::instance();
   fi.reset();
   const auto samples = synthetic_samples(6, 3);  // 3 batches per epoch
   auto model = models::make_model("unet", tiny_config());
-  TempDir dir("spillcrash");
+  TempDir dir("lastcrash");
   TrainOptions options;
   options.epochs = 4;
   options.batch_size = 2;
   options.learning_rate = 5e-3f;
   options.checkpoint_dir = dir.path;
-  // No periodic snapshot ever fires before the crash (interval 100, and the
-  // final epoch dies): the spill is the ONLY recovery state on disk.
-  options.checkpoint_interval = 100;
   fi.arm_nth("trainer.crash", 11);  // mid-epoch 4 (11th batch overall)
   EXPECT_THROW(Trainer::fit_resumable(*model, samples, options),
                std::runtime_error);
   fi.reset();
-  EXPECT_FALSE(fs::exists(checkpoint_path(dir.path, 0)));
-  EXPECT_TRUE(fs::exists(last_good_path(dir.path)));
+  for (std::int64_t epoch = 0; epoch < 3; ++epoch)
+    EXPECT_TRUE(fs::exists(checkpoint_path(dir.path, epoch))) << epoch;
+  EXPECT_FALSE(fs::exists(checkpoint_path(dir.path, 3)));
   auto restarted = models::make_model("unet", tiny_config());
   const auto report = Trainer::fit_resumable(*restarted, samples, options);
   EXPECT_EQ(report.start_epoch, 3)
-      << "epochs 0-2 survived the crash via the last-good spill";
+      << "epochs 0-2 survived the crash in their checkpoints";
   EXPECT_EQ(report.epochs_run, 1);
   EXPECT_TRUE(std::isfinite(report.final_loss));
+}
+
+TEST(Trainer, RollbackRestoresBatchNormStatistics) {
+  // A rolled-back epoch must leave no trace. Its forward passes moved the
+  // batch-norm running statistics as well as the parameters, so after the
+  // rollback the model must predict exactly like one that never ran it.
+  const auto samples = synthetic_samples(4, 7);
+  Rng rng(2);
+  const Tensor x = Tensor::uniform({2, 6, 32, 32}, rng, 0.0f, 1.0f);
+  for (const char* name : {"ours", "unet"}) {
+    SCOPED_TRACE(name);
+    TrainOptions options;
+    options.epochs = 1;
+    options.batch_size = 2;
+    auto reference = models::make_model(name, tiny_config());
+    Trainer::fit_resumable(*reference, samples, options);
+
+    // Same seed, two epochs: the absurd spike threshold rolls the second
+    // epoch back, and with no retries left training stops there.
+    options.epochs = 2;
+    options.divergence_factor = 1e-6;
+    options.max_rollbacks = 0;
+    auto model = models::make_model(name, tiny_config());
+    const auto report = Trainer::fit_resumable(*model, samples, options);
+    ASSERT_TRUE(report.diverged);
+    EXPECT_EQ(report.epochs_run, 1);
+
+    const auto want = reference->network().parameters();
+    const auto got = model->network().parameters();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(got[i].to_vector(), want[i].to_vector()) << "parameter " << i;
+    EXPECT_EQ(model->predict_levels(x).to_vector(),
+              reference->predict_levels(x).to_vector());
+  }
 }
 
 TEST(Trainer, EvaluateEmptySetReturnsZeros) {
