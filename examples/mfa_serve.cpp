@@ -5,14 +5,16 @@
 //
 //   mfa_serve [model.ckpt]
 //
-// With a checkpoint the serving weights come from nn::load_checkpoint (a
-// wrong-architecture file is rejected before anything touches the model);
-// without one the demo serves seeded random weights.
+// The model is the default "ours" configuration (ModelConfig{}), the one
+// `mfa_cli train` and train_predictor save. With a checkpoint the serving
+// weights come from nn::load_checkpoint (a wrong-architecture file is
+// rejected before anything touches the model); without one the demo serves
+// seeded random weights.
 //
 // Knobs (environment variables):
 //   MFA_SERVE_CLIENTS      client threads            (default 4)
 //   MFA_SERVE_REQUESTS     requests per client       (default 32)
-//   MFA_SERVE_GRID         feature grid resolution   (default 16)
+//   MFA_SERVE_GRID         feature grid resolution   (default 64)
 //   MFA_SERVE_QUEUE_DEPTH  admission queue bound     (default 64)
 //   MFA_SERVE_MAX_BATCH    batch former cap          (default 8)
 //   MFA_SERVE_WAIT_MS      batch former patience, ms (default 1)
@@ -62,15 +64,14 @@ int main(int argc, char** argv) {
 
   const std::int64_t clients = env_int("MFA_SERVE_CLIENTS", 4);
   const std::int64_t per_client = env_int("MFA_SERVE_REQUESTS", 32);
-  const std::int64_t grid = env_int("MFA_SERVE_GRID", 16);
+  // The default "ours" configuration, which `mfa_cli train` and
+  // train_predictor save, so their checkpoints load here.
+  models::ModelConfig config;
+  config.grid = env_int("MFA_SERVE_GRID", config.grid);
+  const std::int64_t grid = config.grid;
   const bool swap_midrun = env_int("MFA_SERVE_SWAP", 1) != 0;
   const std::int64_t pace_ms = env_int("MFA_SERVE_PACE_MS", 0);
 
-  models::ModelConfig config;
-  config.grid = grid;
-  config.base_channels = 2;
-  config.transformer_layers = 2;
-  config.transformer_heads = 2;
   auto model = models::make_model("ours", config);
   if (argc > 1) {
     try {

@@ -80,10 +80,9 @@ Tensor MfaBlock::forward(const Tensor& x) {
   Tensor b = reshape(pam_b_->forward(tp), {N, reduced_, L});
   Tensor c = reshape(pam_c_->forward(tp), {N, reduced_, L});
   Tensor d = reshape(pam_d_->forward(tp), {N, reduced_, L});
-  // P_ji = softmax_i(B_i^T . C_j): scores [N, L, L] with rows softmaxed.
-  Tensor scores = matmul(transpose2d(b), c);        // [N, L, L]
-  Tensor p = softmax(scores, 2);
-  Tensor pam_attn = matmul(d, transpose2d(p));      // [N, r, L]
+  // P_ji = softmax_i(B_i^T . C_j), then D . P^T, one row block of the
+  // [L, L] map at a time.
+  Tensor pam_attn = position_attention(b, c, d);    // [N, r, L]
   Tensor pam = add(mul(pam_attn, alpha_), reshape(tp, {N, reduced_, L}));
 
   // ---- channel attention branch (Eqs. 6-7) ----

@@ -43,6 +43,12 @@ Tensor clamp_min(const Tensor& a, float lo);
 /// [m,k] x [k,n] -> [m,n], or batched [b,m,k] x [b,k,n] -> [b,m,n].
 /// A 2-D rhs with a 3-D lhs broadcasts over the batch.
 Tensor matmul(const Tensor& a, const Tensor& b);
+/// Position attention (DANet PAM): b, c, d [N, r, L] -> [N, r, L], equal
+/// bit for bit, forward and backward, to
+/// matmul(d, transpose2d(softmax(matmul(transpose2d(b), c), 2))). Walks the
+/// [L, L] map P in row blocks: inference holds no [N, L, L] buffer, and
+/// training keeps only P for the backward.
+Tensor position_attention(const Tensor& b, const Tensor& c, const Tensor& d);
 
 // ---- shape ----
 Tensor reshape(const Tensor& a, Shape new_shape);

@@ -7,6 +7,50 @@
 #include "common/parallel.h"
 #include "common/sanitize.h"
 #include "tensor/ops.h"
+#include "tensor/softmax_row.h"
+
+namespace mfa::kernels {
+
+void softmax_row(const float* x, float* y, std::int64_t d,
+                 std::int64_t stride) {
+  // The max runs in kMaxLanes independent lanes (lane t takes j = t mod
+  // kMaxLanes), then folds them, so no element waits on the previous
+  // element's max. The max of a set is exact, so the lane order can only
+  // pick a different zero among ±0 ties or skip NaNs in another order.
+  // Neither reaches the output: a NaN never wins `v > m`, and
+  // exp(v - (±0)) is 1 for v = ±0 and unchanged for any other v, so the
+  // row is bit-identical to a one-lane scan.
+  constexpr std::int64_t kMaxLanes = 16;
+  float lane[kMaxLanes];
+  for (auto& m : lane) m = -std::numeric_limits<float>::infinity();
+  std::int64_t j = 0;
+  for (; j + kMaxLanes <= d; j += kMaxLanes)
+    for (std::int64_t t = 0; t < kMaxLanes; ++t)
+      lane[t] = std::max(lane[t], x[(j + t) * stride]);
+  float mx = -std::numeric_limits<float>::infinity();
+  for (const float m : lane) mx = std::max(mx, m);
+  for (; j < d; ++j) mx = std::max(mx, x[j * stride]);
+  double z = 0.0;
+  for (j = 0; j < d; ++j) {
+    const float e = std::exp(x[j * stride] - mx);
+    y[j * stride] = e;
+    z += e;
+  }
+  const float inv = static_cast<float>(1.0 / z);
+  for (j = 0; j < d; ++j) y[j * stride] *= inv;
+}
+
+void softmax_row_backward(const float* y, const float* g, float* gx,
+                          std::int64_t d, std::int64_t stride) {
+  double dot = 0.0;
+  for (std::int64_t j = 0; j < d; ++j)
+    dot += static_cast<double>(g[j * stride]) * y[j * stride];
+  const float dotf = static_cast<float>(dot);
+  for (std::int64_t j = 0; j < d; ++j)
+    gx[j * stride] += y[j * stride] * (g[j * stride] - dotf);
+}
+
+}  // namespace mfa::kernels
 
 namespace mfa::ops {
 namespace {
@@ -177,15 +221,9 @@ Tensor softmax(const Tensor& a, std::int64_t dim) {
               sanitize::note_parallel_write(ga, r0 * slice, r1 * slice);
               for (std::int64_t r = r0; r < r1; ++r)
                 for (std::int64_t k = 0; k < sp.inner; ++k) {
-                  double dot = 0.0;
-                  for (std::int64_t j = 0; j < sp.d; ++j) {
-                    const auto ix = (r * sp.d + j) * sp.inner + k;
-                    dot += static_cast<double>(go[ix]) * y[ix];
-                  }
-                  for (std::int64_t j = 0; j < sp.d; ++j) {
-                    const auto ix = (r * sp.d + j) * sp.inner + k;
-                    ga[ix] += y[ix] * (go[ix] - static_cast<float>(dot));
-                  }
+                  const auto ix = r * slice + k;
+                  kernels::softmax_row_backward(y + ix, go + ix, ga + ix, sp.d,
+                                               sp.inner);
                 }
             },
             grain);
@@ -198,18 +236,8 @@ Tensor softmax(const Tensor& a, std::int64_t dim) {
         sanitize::note_parallel_write(ov, r0 * slice, r1 * slice);
         for (std::int64_t r = r0; r < r1; ++r)
           for (std::int64_t k = 0; k < sp.inner; ++k) {
-            float mx = -std::numeric_limits<float>::infinity();
-            for (std::int64_t j = 0; j < sp.d; ++j)
-              mx = std::max(mx, av[(r * sp.d + j) * sp.inner + k]);
-            double z = 0.0;
-            for (std::int64_t j = 0; j < sp.d; ++j) {
-              const auto ix = (r * sp.d + j) * sp.inner + k;
-              ov[ix] = std::exp(av[ix] - mx);
-              z += ov[ix];
-            }
-            const float inv = static_cast<float>(1.0 / z);
-            for (std::int64_t j = 0; j < sp.d; ++j)
-              ov[(r * sp.d + j) * sp.inner + k] *= inv;
+            const auto ix = r * slice + k;
+            kernels::softmax_row(av + ix, ov + ix, sp.d, sp.inner);
           }
       },
       grain);

@@ -288,6 +288,33 @@ TEST(SanitizeSchedule, SoftmaxReportsZeroRacesUnderParallelPool) {
   EXPECT_EQ(c.total(), 0);
 }
 
+TEST(SanitizeSchedule, PositionAttentionReportsZeroRacesUnderParallelPool) {
+  if (!sanitize::compiled_in())
+    GTEST_SKIP() << "storage sanitizer compiled out (NDEBUG build)";
+  // position_attention's forward splits (sample, row block) tasks that each
+  // write their rows of P and r segments of the output; its backward splits
+  // samples that each write their own slices of the three grads. With 4
+  // workers and the race checker armed, every declared write must stay
+  // disjoint, with and without a tape (P kept or not).
+  const SanitizeEnv env(4);
+  ASSERT_TRUE(sanitize::race_check_active());
+  Rng rng(37);
+  const Shape shape{4, 2, 100};  // 4 row blocks per sample, the last short
+  Tensor b = Tensor::randn(shape, rng, 2.0f, /*requires_grad=*/true);
+  Tensor c = Tensor::randn(shape, rng, 2.0f, /*requires_grad=*/true);
+  Tensor d = Tensor::randn(shape, rng, 1.0f, /*requires_grad=*/true);
+  const Tensor w = Tensor::randn(shape, rng);
+  ops::sum(ops::mul(ops::position_attention(b, c, d), w)).backward();
+  {
+    NoGradGuard no_grad;
+    ops::position_attention(b, c, d);
+  }
+  const auto counts = sanitize::counts();
+  EXPECT_EQ(counts.race, 0)
+      << "declared parallel writes overlap in position_attention";
+  EXPECT_EQ(counts.total(), 0);
+}
+
 // ---- defect class 4: refcount discipline --------------------------------
 
 TEST_P(SanitizeDetect, DoubleReleaseIsCaught) {

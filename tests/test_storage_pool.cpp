@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "models/blocks.h"
 #include "models/congestion_model.h"
 #include "tensor/ops.h"
 #include "tensor/storage.h"
@@ -287,9 +288,9 @@ TEST(StoragePool, HighWaterStableAcrossEpochsNoLeak) {
 namespace {
 
 /// One repeatable step of each hot path bench_micro times, at its shapes:
-/// a conv train step, the two predictors' inference, and the sparse
-/// scatter (forward + backward) and segment-sum ops over a duplicate-heavy
-/// index of 4096 rows into 1024.
+/// a conv train step, the two predictors' inference, the sparse scatter
+/// (forward + backward) and segment-sum ops over a duplicate-heavy index of
+/// 4096 rows into 1024, and an MFA block train step.
 std::function<void()> hot_path_step(const std::string& name) {
   Rng rng(2);
   if (name == "Conv2dTrainStep") {
@@ -298,6 +299,17 @@ std::function<void()> hot_path_step(const std::string& name) {
     return [x, w]() mutable {
       w.zero_grad();
       Tensor y = ops::conv2d(x, w, Tensor(), 1, 1);
+      ops::sum(ops::mul(y, y)).backward();
+    };
+  }
+  if (name == "MfaBlockTrainStep") {
+    // bench_micro's BM_MfaBlockLevel1/1: the first MFA block of "ours" in a
+    // training batch, forward and backward.
+    auto block = std::make_shared<models::MfaBlock>(8, rng);
+    Tensor x = Tensor::randn({4, 8, 32, 32}, rng);
+    return [block, x] {
+      block->zero_grad();
+      Tensor y = block->forward(x);
       ops::sum(ops::mul(y, y)).backward();
     };
   }
@@ -360,12 +372,64 @@ TEST_P(PoolSteadyState, HeapAllocsAtMostATenthOfPoolOff) {
 INSTANTIATE_TEST_SUITE_P(BenchMicroShapes, PoolSteadyState,
                          ::testing::Values("Conv2dTrainStep", "PredictLevels",
                                            "ScatterAdd", "SegmentSum",
-                                           "LhnnPredict"),
+                                           "LhnnPredict", "MfaBlockTrainStep"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
 
 }  // namespace
+
+// ---- the MFA position-attention map is never held three times ----
+
+namespace {
+
+/// Peak pooled floats live during `step` above what was live before it.
+std::int64_t peak_live_floats_over(const std::function<void()>& step) {
+  auto& pool = StoragePool::instance();
+  pool.reset_stats();  // re-bases the high-water mark on the live gauge
+  const std::int64_t before = pool.stats().live_floats;
+  step();
+  return pool.stats().live_floats_high_water - before;
+}
+
+}  // namespace
+
+TEST(StoragePool, MfaBlockInferenceHoldsNoAttentionMap) {
+  // The first MFA block of "ours" at batch 4: 8 channels at 32 x 32, so its
+  // position-attention map P is [4, 1024, 1024]. An eval forward without a
+  // tape walks P in row blocks of thread scratch and must never hold a
+  // pooled buffer of P's size (the unfused chain held scores, P and Pᵀ).
+  PoolEnabledGuard guard;
+  StoragePool::instance().set_enabled(true);
+  Rng rng(41);
+  models::MfaBlock block(8, rng);
+  block.train(false);
+  const Tensor x = Tensor::randn({4, 8, 32, 32}, rng);
+  constexpr std::int64_t kMapFloats = 4 * 1024 * 1024;  // N * L * L
+  const std::int64_t peak = peak_live_floats_over([&] {
+    NoGradGuard no_grad;
+    block.forward(x);
+  });
+  EXPECT_LT(peak, kMapFloats) << "peak live floats " << peak;
+}
+
+TEST(StoragePool, MfaBlockTrainStepHoldsOneAttentionMap) {
+  // Training keeps P for the backward and nothing else of its size: the
+  // gradients of P and of the scores exist one row block at a time.
+  PoolEnabledGuard guard;
+  StoragePool::instance().set_enabled(true);
+  Rng rng(43);
+  models::MfaBlock block(8, rng);
+  const Tensor x = Tensor::randn({4, 8, 32, 32}, rng);
+  constexpr std::int64_t kMapFloats = 4 * 1024 * 1024;  // N * L * L
+  const std::int64_t peak = peak_live_floats_over([&] {
+    block.zero_grad();
+    Tensor y = block.forward(x);
+    ops::sum(ops::mul(y, y)).backward();
+  });
+  EXPECT_GE(peak, kMapFloats) << "the backward needs P";
+  EXPECT_LT(peak, 2 * kMapFloats) << "peak live floats " << peak;
+}
 
 TEST(StoragePool, BackwardReleasesIntermediateGradsKeepsLeafGrads) {
   Rng rng(3);

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace mfa {
@@ -292,6 +297,247 @@ TEST(TensorOps, SoftmaxStableForLargeLogits) {
   Tensor s = softmax(a, 1);
   EXPECT_NEAR(s.at({0, 0}) + s.at({0, 1}), 1.0f, 1e-5f);
   EXPECT_GT(s.at({0, 1}), s.at({0, 0}));
+}
+
+// Reference softmax: the row loops ops::softmax ran before its arithmetic
+// moved into one shared row routine, forward and backward, over the
+// [outer, d, inner] split around the softmax dim.
+void reference_softmax(const float* av, float* ov, std::int64_t outer,
+                       std::int64_t d, std::int64_t inner) {
+  for (std::int64_t r = 0; r < outer; ++r)
+    for (std::int64_t k = 0; k < inner; ++k) {
+      float mx = -std::numeric_limits<float>::infinity();
+      for (std::int64_t j = 0; j < d; ++j)
+        mx = std::max(mx, av[(r * d + j) * inner + k]);
+      double z = 0.0;
+      for (std::int64_t j = 0; j < d; ++j) {
+        const auto ix = (r * d + j) * inner + k;
+        ov[ix] = std::exp(av[ix] - mx);
+        z += ov[ix];
+      }
+      const float inv = static_cast<float>(1.0 / z);
+      for (std::int64_t j = 0; j < d; ++j) ov[(r * d + j) * inner + k] *= inv;
+    }
+}
+
+void reference_softmax_backward(const float* y, const float* go, float* ga,
+                                std::int64_t outer, std::int64_t d,
+                                std::int64_t inner) {
+  for (std::int64_t r = 0; r < outer; ++r)
+    for (std::int64_t k = 0; k < inner; ++k) {
+      double dot = 0.0;
+      for (std::int64_t j = 0; j < d; ++j) {
+        const auto ix = (r * d + j) * inner + k;
+        dot += static_cast<double>(go[ix]) * y[ix];
+      }
+      for (std::int64_t j = 0; j < d; ++j) {
+        const auto ix = (r * d + j) * inner + k;
+        ga[ix] += y[ix] * (go[ix] - static_cast<float>(dot));
+      }
+    }
+}
+
+TEST(TensorOps, SoftmaxBitIdenticalToRowLoopReference) {
+  // The shared row routine takes its max over 16 independent lanes; the
+  // rows below are built to catch any lane-order effect: ties of +0 and -0
+  // at the max, a -inf entry, an all -inf row and a NaN entry, at lengths
+  // around the lane count. Forward and backward (into a pre-filled grad)
+  // must match the one-lane reference bit for bit, over the last dim and a
+  // middle dim.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr std::int64_t kPatterns = 6;
+  // The NaN and all -inf rows have NaN gradients by design, so the
+  // finite-grad scan (MFA_CHECK_FINITE_GRADS=1) is off for this test.
+  struct FiniteGradScanOff {
+    bool prev = check::finite_grad_checks_enabled();
+    FiniteGradScanOff() { check::set_finite_grad_checks(false); }
+    ~FiniteGradScanOff() { check::set_finite_grad_checks(prev); }
+  } scan_off;
+  Rng rng(31);
+  // Row `pattern` of length d, written at stride `stride` from `out`.
+  const auto fill_row = [&](float* out, std::int64_t d, std::int64_t stride,
+                            int pattern) {
+    for (std::int64_t j = 0; j < d; ++j) {
+      const float v = static_cast<float>(rng.normal(0.0, 3.0));
+      float x = v;
+      switch (pattern) {
+        case 1:  // max 0 held by both signs of zero
+          x = j % 3 == 0 ? 0.0f : j % 3 == 1 ? -0.0f : -std::fabs(v) - 0.5f;
+          break;
+        case 2:  // max -0 first, +0 later
+          x = j == 0 ? -0.0f : j == d - 1 ? 0.0f : -std::fabs(v) - 0.5f;
+          break;
+        case 3:  // one -inf entry
+          x = j == d / 2 ? -kInf : v;
+          break;
+        case 4:  // all -inf
+          x = -kInf;
+          break;
+        case 5:  // one NaN entry
+          x = j == d / 3 ? kNaN : v;
+          break;
+        default:
+          break;
+      }
+      out[j * stride] = x;
+    }
+  };
+  for (const std::int64_t d : {1, 15, 16, 17, 1024}) {
+    // Shape [outer, d, inner]: inner 1 is the last dim, inner 3 a middle one.
+    for (const std::int64_t inner : {1, 3}) {
+      SCOPED_TRACE("d=" + std::to_string(d) +
+                   " inner=" + std::to_string(inner));
+      const std::int64_t outer = kPatterns;
+      const Shape shape = inner == 1 ? Shape{outer, d} : Shape{outer, d, inner};
+      Tensor a = Tensor::zeros(shape, /*requires_grad=*/true);
+      for (std::int64_t r = 0; r < outer; ++r)
+        for (std::int64_t k = 0; k < inner; ++k)
+          fill_row(a.data() + r * d * inner + k, d, inner,
+                   static_cast<int>((r + k) % kPatterns));
+      const Tensor prefill = Tensor::randn(shape, rng);
+      a.impl()->ensure_grad();
+      std::memcpy(a.impl()->grad.data(), prefill.data(),
+                  static_cast<size_t>(a.numel()) * sizeof(float));
+      Tensor y = softmax(a, 1);
+      const Tensor w = Tensor::randn(shape, rng);
+      sum(mul(y, w)).backward();  // d y = w, exactly
+
+      std::vector<float> want(static_cast<size_t>(a.numel()));
+      reference_softmax(a.data(), want.data(), outer, d, inner);
+      std::vector<float> want_grad = prefill.to_vector();
+      reference_softmax_backward(want.data(), w.data(), want_grad.data(),
+                                 outer, d, inner);
+      EXPECT_EQ(std::memcmp(y.data(), want.data(), want.size() * sizeof(float)),
+                0);
+      const Tensor got_grad = a.grad();
+      EXPECT_EQ(std::memcmp(got_grad.data(), want_grad.data(),
+                            want_grad.size() * sizeof(float)),
+                0);
+    }
+  }
+}
+
+// Leaves b, c, d [N, r, L] with the same values on every call for a given
+// seed; each one that requires grad starts from a pre-filled gradient, so a
+// result that overwrote instead of accumulating would show.
+struct AttentionInputs {
+  Tensor b, c, d, w;
+};
+
+AttentionInputs attention_inputs(std::int64_t N, std::int64_t r,
+                                 std::int64_t L, bool grad_b, bool grad_c,
+                                 bool grad_d) {
+  Rng rng(static_cast<std::uint64_t>(1000 * N + 100 * r + L));
+  AttentionInputs in;
+  const Shape shape{N, r, L};
+  // A spread of 2 makes the softmax rows peaked and flat in turn.
+  in.b = Tensor::randn(shape, rng, 2.0f, grad_b);
+  in.c = Tensor::randn(shape, rng, 2.0f, grad_c);
+  in.d = Tensor::randn(shape, rng, 1.0f, grad_d);
+  in.w = Tensor::randn(shape, rng);
+  for (Tensor* t : {&in.b, &in.c, &in.d}) {
+    if (!t->requires_grad()) continue;
+    const Tensor prefill = Tensor::randn(shape, rng, 0.5f);
+    t->impl()->ensure_grad();
+    std::memcpy(t->impl()->grad.data(), prefill.data(),
+                static_cast<size_t>(t->numel()) * sizeof(float));
+  }
+  return in;
+}
+
+bool same_bits(const Tensor& x, const Tensor& y) {
+  return x.numel() == y.numel() &&
+         std::memcmp(x.data(), y.data(),
+                     static_cast<size_t>(x.numel()) * sizeof(float)) == 0;
+}
+
+/// Runs the fused op and the chain it replaces on equal inputs and compares
+/// the forward values and every gradient bit for bit.
+void expect_attention_matches_chain(std::int64_t N, std::int64_t r,
+                                    std::int64_t L, bool grad_b, bool grad_c,
+                                    bool grad_d) {
+  SCOPED_TRACE("N=" + std::to_string(N) + " r=" + std::to_string(r) +
+               " L=" + std::to_string(L) + " grads b/c/d=" +
+               std::to_string(grad_b) + std::to_string(grad_c) +
+               std::to_string(grad_d));
+  AttentionInputs ref = attention_inputs(N, r, L, grad_b, grad_c, grad_d);
+  AttentionInputs got = attention_inputs(N, r, L, grad_b, grad_c, grad_d);
+  // One graph at a time: backward() retires the thread's whole tape.
+  Tensor want = matmul(
+      ref.d, transpose2d(softmax(matmul(transpose2d(ref.b), ref.c), 2)));
+  sum(mul(want, ref.w)).backward();  // d want = w, exactly
+  Tensor out = position_attention(got.b, got.c, got.d);
+  sum(mul(out, got.w)).backward();
+  ASSERT_EQ(out.shape(), want.shape());
+  EXPECT_TRUE(same_bits(out, want)) << "forward";
+  EXPECT_TRUE(same_bits(got.b.grad(), ref.b.grad())) << "b.grad";
+  EXPECT_TRUE(same_bits(got.c.grad(), ref.c.grad())) << "c.grad";
+  EXPECT_TRUE(same_bits(got.d.grad(), ref.d.grad())) << "d.grad";
+}
+
+/// The same with one leaf passed as b, c and d.
+void expect_shared_input_matches_chain(std::int64_t N, std::int64_t r,
+                                       std::int64_t L) {
+  SCOPED_TRACE("shared input N=" + std::to_string(N) + " r=" +
+               std::to_string(r) + " L=" + std::to_string(L));
+  AttentionInputs ref = attention_inputs(N, r, L, true, false, false);
+  AttentionInputs got = attention_inputs(N, r, L, true, false, false);
+  const Tensor& x = ref.b;
+  Tensor want = matmul(x, transpose2d(softmax(matmul(transpose2d(x), x), 2)));
+  sum(mul(want, ref.w)).backward();
+  Tensor out = position_attention(got.b, got.b, got.b);
+  sum(mul(out, got.w)).backward();
+  EXPECT_TRUE(same_bits(out, want)) << "forward";
+  EXPECT_TRUE(same_bits(got.b.grad(), ref.b.grad())) << "grad";
+}
+
+TEST(TensorOps, PositionAttentionBitIdenticalToUnfusedChain) {
+  // The fused op reproduces each reduction of the chain with the same GEMM
+  // kernel on row blocks, so it must match it bit for bit on every kernel
+  // variant and pool size, at lengths that are and are not multiples of
+  // its 32-row blocks and 64-column panels (100 is neither).
+  const int prev_threads = common::ThreadPool::instance().size();
+  for (int v = 0; v < kernels::kNumVariants; ++v) {
+    if (!kernels::variant_supported(static_cast<kernels::Variant>(v)))
+      continue;
+    ASSERT_TRUE(kernels::set_variant_override(v));
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(kernels::variant_name(
+                       static_cast<kernels::Variant>(v))) +
+                   " threads=" + std::to_string(threads));
+      common::ThreadPool::instance().resize_for_testing(threads);
+      for (const std::int64_t N : {1, 3})
+        for (const std::int64_t r : {1, 2, 4})
+          for (const std::int64_t L : {16, 64, 100, 1024})
+            expect_attention_matches_chain(N, r, L, true, true, true);
+      // d alone requires grad, and everything but d does.
+      expect_attention_matches_chain(3, 2, 100, false, false, true);
+      expect_attention_matches_chain(3, 2, 100, true, true, false);
+      // One tensor as b, c and d: its grad sums the three parts in the
+      // chain's order.
+      expect_shared_input_matches_chain(3, 2, 100);
+    }
+  }
+  kernels::set_variant_override(-1);
+  common::ThreadPool::instance().resize_for_testing(prev_threads);
+}
+
+TEST(TensorOps, PositionAttentionRejectsMismatchedShapes) {
+  const Tensor x = Tensor::zeros({2, 3, 16});
+  EXPECT_NO_THROW(position_attention(x, x, x));
+  const Tensor flat = Tensor::zeros({6, 16});
+  EXPECT_THROW(position_attention(flat, flat, flat), check::CheckError);
+  const Tensor rank4 = Tensor::zeros({2, 3, 4, 4});
+  EXPECT_THROW(position_attention(rank4, rank4, rank4), check::CheckError);
+  for (const Shape& other :
+       {Shape{3, 3, 16}, Shape{2, 4, 16}, Shape{2, 3, 17}, Shape{2, 48}}) {
+    SCOPED_TRACE(shape_str(other));
+    const Tensor y = Tensor::zeros(other);
+    EXPECT_THROW(position_attention(y, x, x), check::CheckError);
+    EXPECT_THROW(position_attention(x, y, x), check::CheckError);
+    EXPECT_THROW(position_attention(x, x, y), check::CheckError);
+  }
 }
 
 TEST(TensorOps, LogSoftmaxMatchesLogOfSoftmax) {
